@@ -16,12 +16,12 @@ import numpy as np
 
 from .errors import ConfigError, ParameterError, QuadratureError
 from .harmonizable import (
-    hn_kernel,
     normalized_error,
     quadratic_statistic,
     realized_U,
     rosenblatt_fast,
     simulate_increments,
+    t_nodes_for,
 )
 from .kernels import ModelParams, kernel_h, kernel_hn, kernel_r, nearest_2pi
 from .levy_model import KernelSpec, build_jump_measure, double_integrate, integrate, integrate_qv
@@ -230,12 +230,13 @@ def run_clt_experiment(
     replications: int,
     seed: int,
     threads: int = 0,
-    t_nodes: int = 256,
+    t_nodes: int | None = None,
 ) -> ExperimentReport:
     """Distributional check of the rescaled error: sample A collects
     n^(2-2H)(Q_n/n - U) on fresh realizations, sample B collects realized
     double-integral limits on independent fresh realizations, and the report
-    carries their two-sample KS distance."""
+    carries their two-sample KS distance. The limit draws use t_nodes
+    Gauss-Legendre nodes, t_nodes_for(half_width) unless given."""
     if not p.clt_regime:
         raise ConfigError(
             "normalized-error limit requires hurst > 1/2 and "
@@ -256,9 +257,8 @@ def run_clt_experiment(
     def one_limit(i: int) -> float:
         rng = RngStream(master_seed=seed, stream_index=replications + i)
         jm = build_jump_measure(p.alpha, half_width, n_terms, rng)
-        if jm.n_terms < 2:
-            return 0.0
-        return rosenblatt_fast(jm, p, t_nodes=t_nodes)
+        nodes = t_nodes_for(jm.half_width) if t_nodes is None else t_nodes
+        return rosenblatt_fast(jm, p, t_nodes=nodes)
 
     sample_a = np.array(_parallel_map(one_error, replications, threads))
     sample_b = np.array(_parallel_map(one_limit, replications, threads))
@@ -418,7 +418,7 @@ def identity_suite(
             quadratic_statistic(series, n_increments), u, n_increments, p
         )
         if i % 10 == 0:
-            pair_m = complex(double_integrate(jm, hn_kernel(n_increments, p)))
+            pair_m = complex(double_integrate(jm, lambda x, y: kernel_hn(x, y, n_increments, p)))
         else:
             pair_m = float(n_increments) ** (1.0 - 2.0 * p.hurst) * complex(geom.sum())
         rhs = 2.0 * pair_m.real

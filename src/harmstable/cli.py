@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 
@@ -104,9 +105,6 @@ _DEFAULTS: dict[str, dict] = {
         "format": "json",
     },
 }
-
-# flags shared by every command; per-command defaults live in _DEFAULTS
-_COMMON_KEYS = ("seed", "threads", "out", "format")
 
 
 def _parse_int_list(text) -> tuple[int, ...]:
@@ -272,8 +270,9 @@ def _validate(cfg: dict) -> None:
     if command == "iid":
         _require_range(cfg, "alpha", 0.0, 2.0, hi_open=False)
     if command in ("simulate", "lln", "clt", "check-identities"):
-        if float(cfg["half_width"]) < 1.0:
-            raise ConfigError(f"half_width must be at least 1, got {cfg['half_width']}")
+        half_width = float(cfg["half_width"])
+        if not (math.isfinite(half_width) and half_width >= 1.0):
+            raise ConfigError(f"half_width must be finite and at least 1, got {half_width}")
         if int(cfg["n_terms"]) < 0:
             raise ConfigError(f"n_terms must be nonnegative, got {cfg['n_terms']}")
     if command == "clt":

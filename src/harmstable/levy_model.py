@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -68,6 +69,7 @@ _UNIT_SERIES_SCALE: dict[float, float] = {
     1.9: 2.414822088253012,
 }
 _estimated_scales: dict[float, float] = {}
+_estimate_lock = threading.Lock()  # one estimate per alpha, whatever the threads
 
 
 @dataclass(frozen=True)
@@ -131,11 +133,11 @@ def series_unit_scale(alpha: float) -> float:
     for key, val in _UNIT_SERIES_SCALE.items():
         if abs(alpha - key) < 1e-12:
             return val
-    for key, val in _estimated_scales.items():
-        if abs(alpha - key) < 1e-12:
-            return val
-    est = estimate_series_unit_scale(alpha)
-    _estimated_scales[alpha] = est
+    with _estimate_lock:
+        for key, val in _estimated_scales.items():
+            if abs(alpha - key) < 1e-12:
+                return val
+        est = _estimated_scales[alpha] = estimate_series_unit_scale(alpha)
     return est
 
 
@@ -194,8 +196,8 @@ def build_jump_measure(
     """Draw one atomic realization of the noise on [-half_width, half_width]."""
     if not (0.0 < alpha < 2.0):
         raise ParameterError(f"alpha must be in (0, 2), got {alpha}")
-    if half_width <= 0.0:
-        raise ParameterError(f"half_width must be positive, got {half_width}")
+    if not (math.isfinite(half_width) and half_width > 0.0):
+        raise ParameterError(f"half_width must be finite and positive, got {half_width}")
     if n_terms < 1:
         raise ParameterError(f"n_terms must be a positive integer, got {n_terms}")
     if calibration is None:

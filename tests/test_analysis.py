@@ -130,6 +130,12 @@ class TestRunCltExperiment:
         b = run_clt_experiment(P, 5.0, 400, 16, 8, seed=10, threads=3, t_nodes=64)
         assert a.raw == b.raw and a.ks_distance == b.ks_distance
 
+    def test_default_nodes_follow_window(self):
+        # ceil(5) + 16 = 21 Gauss-Legendre nodes at half-width 5
+        a = run_clt_experiment(P, 5.0, 400, 16, 4, seed=10, threads=1)
+        b = run_clt_experiment(P, 5.0, 400, 16, 4, seed=10, threads=1, t_nodes=21)
+        assert a.raw == b.raw
+
     @pytest.mark.parametrize("alpha,hurst", [(1.8, 0.55), (1.2, 0.4)])
     def test_rejects_parameters_outside_limit_regime(self, alpha, hurst):
         with pytest.raises(ConfigError):

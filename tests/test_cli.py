@@ -92,6 +92,19 @@ class TestMainExitCodes:
         rc, _, err = run_main(capsys, ["simulate", "--alpha", "2.5"])
         assert rc == 2 and err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--half-width", "nan", "--n", "8", "--n-terms", "50"],
+            ["clt", "--half-width", "inf"],
+        ],
+    )
+    def test_nonfinite_half_width_returns_2(self, capsys, argv):
+        rc, out, err = run_main(capsys, argv)
+        assert rc == 2 and out == ""
+        assert err.splitlines() == [err.rstrip("\n")]
+        assert err.startswith("error: half_width must be finite")
+
     def test_unreadable_config_returns_2(self, capsys):
         rc, _, err = run_main(capsys, ["simulate", "--config", "/no/such/file.json"])
         assert rc == 2 and "cannot read config file" in err

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harmstable import (
     JumpMeasure,
@@ -16,6 +18,8 @@ from harmstable import (
     double_integrate,
     increments_from_csv,
     increments_to_csv,
+    kernel_h,
+    kernel_hn,
     kernel_r,
     normalized_error,
     phi_qv,
@@ -27,7 +31,7 @@ from harmstable import (
     simulate_increments,
     tail_error_estimate,
 )
-from harmstable.harmonizable import RESET_INTERVAL, hn_kernel
+from harmstable.harmonizable import RESET_INTERVAL, t_nodes_for
 
 P = ModelParams(alpha=1.2, hurst=0.75)
 
@@ -114,14 +118,14 @@ class TestCouplingIdentity:
         series = simulate_increments(jm, n, P)
         q_n = quadratic_statistic(series, n)
         lhs = normalized_error(q_n, realized_U(jm, P), n, P)
-        rhs = 2.0 * complex(double_integrate(jm, hn_kernel(n, P))).real
+        rhs = 2.0 * complex(double_integrate(jm, lambda s, u: kernel_hn(s, u, n, P))).real
         assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-13)
 
 
 class TestRosenblatt:
     def test_brute_and_fast_routes_agree(self):
         jm = small_measure(7)
-        brute = realized_rosenblatt(jm, P)  # 400 atoms: pair-sum route
+        brute = 2 * double_integrate(jm, lambda s, u: kernel_h(s, u, P)).real
         fast = rosenblatt_fast(jm, P)
         assert fast == pytest.approx(brute, rel=1e-11)
 
@@ -154,6 +158,54 @@ class TestRosenblatt:
     def test_rejects_too_few_nodes(self):
         with pytest.raises(ParameterError):
             rosenblatt_fast(small_measure(9), P, t_nodes=1)
+
+
+def pair_sum_oracle(jm: JumpMeasure, p: ModelParams) -> float:
+    return 2 * double_integrate(jm, lambda s, u: kernel_h(s, u, p)).real
+
+
+def diagonal_scale(jm: JumpMeasure, p: ModelParams) -> float:
+    """sum_i |a_i|^2, the term the t-quadrature subtracts from its total."""
+    amp = np.abs(jm.locations) ** p.gamma * jm.values
+    return float(np.sum(amp.real**2 + amp.imag**2))
+
+
+class TestNodeRule:
+    def test_rule(self):
+        assert t_nodes_for(20.0) == 36
+        assert t_nodes_for(1.0) == 17 and t_nodes_for(1.5) == 18
+        assert t_nodes_for(500.0) == 516
+
+    @pytest.mark.parametrize("half_width", [1.0, 5.0, 20.0, 50.0, 120.0, 500.0])
+    def test_derived_count_matches_refined_rule(self, half_width):
+        jm = build_jump_measure(1.2, half_width, 20000, RngStream(41, int(half_width)))
+        nodes = t_nodes_for(half_width)
+        value = rosenblatt_fast(jm, P)
+        refined = rosenblatt_fast(jm, P, t_nodes=4 * nodes)
+        scale = max(abs(refined), 1e-6 * diagonal_scale(jm, P))
+        assert abs(value - refined) <= 1e-12 * scale
+        assert value == rosenblatt_fast(jm, P, t_nodes=nodes)
+        assert value == realized_rosenblatt(jm, P)
+
+    @pytest.mark.parametrize("t_nodes", [31, 40])
+    def test_odd_and_even_counts_match_pair_sum(self, t_nodes):
+        jm = small_measure(15)
+        oracle = pair_sum_oracle(jm, P)
+        assert rosenblatt_fast(jm, P, t_nodes=t_nodes) == pytest.approx(oracle, rel=1e-11)
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(
+        half_width=st.floats(1.0, 200.0),
+        n_terms=st.integers(2, 300),
+        hurst=st.floats(0.55, 0.95),
+        stream=st.integers(0, 2**16),
+    )
+    def test_derived_count_matches_pair_sum(self, half_width, n_terms, hurst, stream):
+        p = ModelParams(alpha=1.2, hurst=hurst)
+        jm = build_jump_measure(1.2, half_width, n_terms, RngStream(43, stream))
+        oracle = pair_sum_oracle(jm, p)
+        scale = max(abs(oracle), 1e-6 * diagonal_scale(jm, p))
+        assert abs(rosenblatt_fast(jm, p) - oracle) <= 1e-11 * scale
 
 
 class TestTailErrorEstimate:

@@ -1,5 +1,9 @@
 """Unit tests for atomic noise realizations and pathwise integrators."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
@@ -22,6 +26,7 @@ from harmstable import (
     quadratic_variation,
     series_unit_scale,
 )
+from harmstable import levy_model
 from harmstable.levy_model import _UNIT_SERIES_SCALE, estimate_series_unit_scale
 
 
@@ -113,6 +118,9 @@ class TestBuildJumpMeasure:
             build_jump_measure(2.0, 10.0, 50, r)
         with pytest.raises(ParameterError):
             build_jump_measure(1.2, 0.0, 50, r)
+        for half_width in (float("nan"), float("inf")):
+            with pytest.raises(ParameterError):
+                build_jump_measure(1.2, half_width, 10, r)
         with pytest.raises(ParameterError):
             build_jump_measure(1.2, 10.0, 0, r)
         with pytest.raises(ParameterError):
@@ -147,6 +155,38 @@ class TestSeriesUnitScale:
     def test_reduced_estimator_agrees_with_table(self):
         est = estimate_series_unit_scale(1.2, n_terms=500, replications=2000)
         assert est == pytest.approx(_UNIT_SERIES_SCALE[1.2], rel=0.02)
+
+    def test_estimate_runs_once_per_alpha_across_threads(self, monkeypatch):
+        calls = []
+
+        def stand_in(alpha):
+            calls.append(alpha)
+            time.sleep(0.05)  # hold the race window open
+            return 1.0 + alpha
+
+        monkeypatch.setattr(levy_model, "estimate_series_unit_scale", stand_in)
+        monkeypatch.setattr(levy_model, "_estimated_scales", {})
+        alpha = 1.23456  # not in the table
+        results = []
+        start = threading.Barrier(4)
+
+        def worker():
+            start.wait(timeout=10)
+            results.append(series_unit_scale(alpha))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert calls == [alpha]
+        assert results == [1.0 + alpha] * 4
 
 
 class TestPathwiseIntegrals:
