@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    _check_resolution,
     envelope_quadrature,
     identity_suite,
     iid_stable_qv_experiment,
@@ -363,19 +364,12 @@ def _sidecar(path: str, suffix: str) -> str:
 
 def _cmd_simulate(cfg: dict, started: float) -> int:
     p = ModelParams(alpha=float(cfg["alpha"]), hurst=float(cfg["hurst"]))
+    n = int(cfg["n"])
+    _check_resolution(n, int(cfg["n_terms"]), float(cfg["half_width"]))
     rng = RngStream(master_seed=int(cfg["seed"]), stream_index=0)
     jm = build_jump_measure(p.alpha, float(cfg["half_width"]), int(cfg["n_terms"]), rng)
-    n = int(cfg["n"])
     if cfg["format"] == "csv":
-        series = simulate_increments(jm, n, p)
-        out = cfg.get("out")
-        if out:
-            increments_to_csv(series, out)
-        else:
-            writer = csv.writer(sys.stdout)
-            writer.writerow(["j", "re", "im"])
-            for j, y in enumerate(series.increments):
-                writer.writerow([j, format(y.real, ".17g"), format(y.imag, ".17g")])
+        increments_to_csv(simulate_increments(jm, n, p), cfg.get("out") or sys.stdout)
         _announce(cfg, f"simulate: n={n} atoms={jm.n_terms} "
                        f"(runtime {time.time() - started:.2f}s)")
         return 0

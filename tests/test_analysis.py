@@ -1,17 +1,23 @@
 """Unit tests for the experiment runners and verification checks."""
 
+import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from harmstable import analysis
 from harmstable import (
     ConfigError,
     ModelParams,
     ParameterError,
     QuadratureError,
     QuadratureSpec,
+    RngStream,
+    build_jump_measure,
     envelope_kernel,
     envelope_quadrature,
     identity_suite,
@@ -21,6 +27,7 @@ from harmstable import (
     loglog_slope,
     run_clt_experiment,
     run_lln_experiment,
+    simulate_increments,
 )
 
 P = ModelParams(alpha=1.2, hurst=0.75)
@@ -173,6 +180,24 @@ class TestIdentitySuite:
         assert out["trials"] == 6 and out["seed"] == 11
         assert out["alphas"] == [0.8, 1.2, 1.6]
 
+    def test_cancelling_heavy_atom_stays_under_gate(self):
+        # trial 0 (alpha 0.8): Q_m/m and U are both ~6e13 and their rescaled
+        # difference ~7e6, so a rounding-level residual of the terms is far
+        # above 1e-8 of the difference
+        out = identity_suite(1, seed=58000, half_width=10.0, n_terms=1000, threads=1)
+        assert out["max_error_representation_residual"] <= 1e-12
+
+    def test_perturbed_increment_exceeds_gate(self, monkeypatch):
+        def perturbed(jm, n, p):
+            series = simulate_increments(jm, n, p)
+            y = series.increments.copy()
+            y[np.argmax(np.abs(y))] *= 1.0 + 1e-6
+            return dataclasses.replace(series, increments=y)
+
+        monkeypatch.setattr(analysis, "simulate_increments", perturbed)
+        out = identity_suite(1, seed=58000, half_width=10.0, n_terms=1000, threads=1)
+        assert out["max_error_representation_residual"] > 1e-8
+
     def test_rejects_bad_counts(self):
         with pytest.raises(ParameterError):
             identity_suite(0, seed=11)
@@ -257,3 +282,111 @@ class TestEnvelopeQuadrature:
             0.7, 1.2, (20.0,), quad=QuadratureSpec(cells_per_decade=8)
         )
         assert coarse[0] == pytest.approx(fine[0], rel=0.05)
+
+
+def blas_threads():
+    blas = analysis._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy loads no scipy-openblas library")
+    return blas
+
+
+class TestThreadCountInvariance:
+    """Reports at threads=1 (BLAS at its own thread count) and threads=2
+    (BLAS held at one thread) are bit-identical. At 20000 atoms and n = 256
+    each block's product is 16 x 4096 by 4096 x 16, which OpenBLAS may
+    split across threads."""
+
+    def test_lln(self):
+        a = run_lln_experiment(P, 5.0, 20000, (64, 128, 256), 50, seed=21, threads=1)
+        b = run_lln_experiment(P, 5.0, 20000, (64, 128, 256), 50, seed=21, threads=2)
+        assert a.raw == b.raw
+
+    def test_clt(self):
+        a = run_clt_experiment(P, 5.0, 20000, 256, 4, seed=22, threads=1)
+        b = run_clt_experiment(P, 5.0, 20000, 256, 4, seed=22, threads=2)
+        assert a.raw == b.raw
+
+    def test_identity_suite(self):
+        a = identity_suite(4, seed=23, n_terms=300, threads=1)
+        b = identity_suite(4, seed=23, n_terms=300, threads=2)
+        assert a == b
+
+    def test_increments_independent_of_blas_threads(self):
+        get, put = blas_threads()
+        jm = build_jump_measure(1.2, 5.0, 20000, RngStream(24, 0))
+        before = get()
+        put(2)
+        try:
+            two = simulate_increments(jm, 512, P).increments
+            put(1)
+            one = simulate_increments(jm, 512, P).increments
+        finally:
+            put(before)
+        np.testing.assert_array_equal(one, two)
+
+
+class TestParallelMapBlasHold:
+    def test_one_blas_thread_in_workers_then_restored(self):
+        get, put = blas_threads()
+        before = get()
+        put(2)
+        try:
+            assert analysis._parallel_map(lambda i: get(), 4, 2) == [1, 1, 1, 1]
+            assert get() == 2
+            # a single worker leaves BLAS alone
+            assert analysis._parallel_map(lambda i: get(), 3, 1) == [2, 2, 2]
+            with pytest.raises(ZeroDivisionError):
+                analysis._parallel_map(lambda i: 1 / 0, 2, 2)
+            assert get() == 2
+        finally:
+            put(before)
+
+    def test_without_openblas_the_count_is_left_alone(self, monkeypatch):
+        get, put = blas_threads()
+        before = get()
+        put(2)
+        monkeypatch.setattr(analysis, "_openblas_threads", lambda: None)
+        try:
+            assert analysis._parallel_map(lambda i: get(), 3, 2) == [2, 2, 2]
+            assert get() == 2
+        finally:
+            put(before)
+
+    def test_nested_pool_keeps_the_hold(self):
+        get, put = blas_threads()
+        before = get()
+        put(2)
+        try:
+            def item(i):
+                analysis._parallel_map(lambda j: None, 2, 2)
+                return get()
+
+            assert analysis._parallel_map(item, 2, 2) == [1, 1]
+            assert get() == 2
+        finally:
+            put(before)
+
+    def test_overlapping_pools_under_stress(self):
+        get, put = blas_threads()
+        before = get()
+        interval = sys.getswitchinterval()
+        put(2)
+        sys.setswitchinterval(1e-6)
+        seen = []
+        try:
+            def caller():
+                for _ in range(20):
+                    seen.extend(analysis._parallel_map(lambda i: get(), 3, 3))
+
+            callers = [threading.Thread(target=caller) for _ in range(6)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in callers)
+            assert len(seen) == 6 * 20 * 3 and set(seen) == {1}
+            assert get() == 2
+        finally:
+            sys.setswitchinterval(interval)
+            put(before)

@@ -105,6 +105,14 @@ class TestMainExitCodes:
         assert err.splitlines() == [err.rstrip("\n")]
         assert err.startswith("error: half_width must be finite")
 
+    def test_simulate_beyond_resolution_limit_returns_2(self, capsys):
+        rc, out, err = run_main(
+            capsys, ["simulate", "--n", "4000", "--n-terms", "100", "--half-width", "5"]
+        )
+        assert rc == 2 and out == ""
+        assert err.splitlines() == [err.rstrip("\n")]
+        assert err.startswith("error: n=4000 exceeds the resolution limit")
+
     def test_unreadable_config_returns_2(self, capsys):
         rc, _, err = run_main(capsys, ["simulate", "--config", "/no/such/file.json"])
         assert rc == 2 and "cannot read config file" in err
@@ -128,7 +136,7 @@ class TestSimulateCommand:
     def test_csv_to_stdout_with_summary_on_stderr(self, capsys):
         rc, out, err = run_main(
             capsys,
-            ["simulate", "--n", "8", "--n-terms", "50", "--half-width", "5",
+            ["simulate", "--n", "8", "--n-terms", "100", "--half-width", "5",
              "--seed", "1"],
         )
         assert rc == 0
@@ -142,7 +150,7 @@ class TestSimulateCommand:
         path = tmp_path / "real.json"
         rc, out, err = run_main(
             capsys,
-            ["simulate", "--n", "8", "--n-terms", "50", "--half-width", "5",
+            ["simulate", "--n", "8", "--n-terms", "100", "--half-width", "5",
              "--seed", "1", "--format", "json", "--out", str(path)],
         )
         assert rc == 0
@@ -160,9 +168,9 @@ class TestSimulateCommand:
         assert len(results["increments"]) == 8
 
     def test_deterministic_output(self, capsys):
-        _, out_a, _ = run_main(capsys, ["simulate", "--n", "8", "--n-terms", "50",
+        _, out_a, _ = run_main(capsys, ["simulate", "--n", "8", "--n-terms", "100",
                                         "--half-width", "5", "--seed", "1"])
-        _, out_b, _ = run_main(capsys, ["simulate", "--n", "8", "--n-terms", "50",
+        _, out_b, _ = run_main(capsys, ["simulate", "--n", "8", "--n-terms", "100",
                                         "--half-width", "5", "--seed", "1"])
         assert out_a == out_b
 

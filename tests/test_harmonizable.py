@@ -1,10 +1,11 @@
 """Unit tests for coupled increments, Q_n, and the realized limit objects."""
 
+import io
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from harmstable import (
@@ -31,7 +32,7 @@ from harmstable import (
     simulate_increments,
     tail_error_estimate,
 )
-from harmstable.harmonizable import RESET_INTERVAL, t_nodes_for
+from harmstable.harmonizable import t_nodes_for
 
 P = ModelParams(alpha=1.2, hurst=0.75)
 
@@ -40,16 +41,62 @@ def small_measure(stream: int = 0, n_terms: int = 400) -> JumpMeasure:
     return build_jump_measure(1.2, 10.0, n_terms, RngStream(31, stream))
 
 
+def recurrence_oracle(s: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
+    """Y_j by the per-atom rotation recurrence, restarted every 1024 steps
+    from exp(i j s). The restart takes exp of j * s itself, which is exact
+    for locations on a dyadic grid, rather than reducing it by a rounded
+    2 pi."""
+    rot = np.exp(1j * s)
+    cur = c.astype(complex)
+    out = np.empty(n, dtype=complex)
+    for j in range(n):
+        if j and j % 1024 == 0:
+            cur = c * np.exp(1j * (j * s))
+        out[j] = cur.sum()
+        cur = cur * rot
+    return out
+
+
+# perfect squares +- 1 and the values around 1024 and 2048
+EDGE_N = sorted({q * q + d for q in (1, 2, 3, 10, 32, 45, 54) for d in (-1, 0, 1) if q * q + d >= 1}
+                | {1023, 1024, 1025, 2047, 2048, 2049, 3000})
+
+
 class TestSimulateIncrements:
     def test_matches_direct_evaluation_across_resets(self):
         jm = small_measure(0, n_terms=300)
-        n = 2 * RESET_INTERVAL + 50  # crosses two exact phase resets
+        n = 2098  # past 1024 and 2048; B = 45 baby and K = 47 giant steps
         series = simulate_increments(jm, n, P)
         amp = kernel_r(jm.locations, P) * jm.values
         direct = np.exp(1j * np.outer(np.arange(n), jm.locations)) @ amp
         scale = np.abs(direct).max()
         np.testing.assert_allclose(series.increments, direct, rtol=0,
                                    atol=1e-10 * scale)
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(
+        n=st.one_of(st.sampled_from(EDGE_N), st.integers(1, 3000)),
+        n_terms=st.integers(1, 500),
+        half_width=st.floats(1.0, 100.0),
+        stream=st.integers(0, 2**16),
+    )
+    def test_matches_dense_sum_and_recurrence(self, n, n_terms, half_width, stream):
+        jm = build_jump_measure(1.2, half_width, n_terms, RngStream(47, stream))
+        # a 2^-20 grid makes j * s exact for j < 3000, so neither oracle
+        # rounds the phase
+        s = np.round(jm.locations * 2.0**20) / 2.0**20
+        assume(np.all(np.diff(s) > 0.0))
+        jm = JumpMeasure(s, jm.values, 1.2, half_width, jm.calibration, s.size)
+        c = kernel_r(s, P) * jm.values
+        tol = 1e-12 * float(np.abs(c).sum())
+        y = simulate_increments(jm, n, P).increments
+        dense = np.exp(1j * np.outer(np.arange(n), s)) @ c
+        assert np.abs(y - dense).max() <= tol
+        assert np.abs(y - recurrence_oracle(s, c, n)).max() <= tol
+
+    def test_empty_measure_gives_zero_increments(self):
+        empty = JumpMeasure(np.array([]), np.array([], complex), 1.2, 1.0, 1.0, 0)
+        np.testing.assert_array_equal(simulate_increments(empty, 5, P).increments, np.zeros(5))
 
     def test_provenance_copied(self):
         jm = small_measure(1)
@@ -255,6 +302,15 @@ class TestSerialization:
         back = increments_from_csv(path, P)
         assert back.n == 48
         np.testing.assert_array_equal(back.increments, series.increments)
+
+    def test_increments_csv_to_stream_matches_file(self, tmp_path):
+        series = simulate_increments(small_measure(12), 48, P)
+        path = tmp_path / "increments.csv"
+        increments_to_csv(series, path)
+        stream = io.StringIO()
+        increments_to_csv(series, stream)
+        assert not stream.closed
+        assert stream.getvalue().encode() == path.read_bytes()
 
     def test_realization_json(self):
         jm = small_measure(13)
