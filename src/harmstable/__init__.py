@@ -29,7 +29,6 @@ from .errors import (
 )
 from .harmonizable import (
     CoupledRealization,
-    IncrementSeries,
     couple,
     increments_from_csv,
     increments_to_csv,
@@ -56,7 +55,6 @@ from .kernels import (
 )
 from .levy_model import (
     JumpMeasure,
-    KernelSpec,
     build_jump_measure,
     condition_value,
     double_integrate,
@@ -82,9 +80,7 @@ __all__ = [
     "CoupledRealization",
     "ExperimentReport",
     "HarmstableError",
-    "IncrementSeries",
     "JumpMeasure",
-    "KernelSpec",
     "ModelParams",
     "ParameterError",
     "QuadratureError",

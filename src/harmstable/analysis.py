@@ -28,7 +28,7 @@ from .harmonizable import (
     t_nodes_for,
 )
 from .kernels import ModelParams, kernel_h, kernel_hn, kernel_r, nearest_2pi
-from .levy_model import KernelSpec, build_jump_measure, double_integrate, integrate, integrate_qv
+from .levy_model import build_jump_measure, double_integrate, integrate, integrate_qv
 from .quadrature import QuadratureSpec, axis_cells
 from .rng_stable import RngStream, sample_isotropic_stable
 
@@ -57,7 +57,6 @@ class ExperimentReport:
     slope: float | None = None
     slope_stderr: float | None = None
     ks_distance: float | None = None
-    runtime_seconds: float | None = None
     raw: tuple[tuple[int, int, float], ...] = ()
     extras: dict = field(default_factory=dict)
 
@@ -222,9 +221,9 @@ def run_lln_experiment(
     def one(i: int) -> tuple[np.ndarray, np.ndarray]:
         rng = RngStream(master_seed=seed, stream_index=i)
         jm = build_jump_measure(p.alpha, half_width, n_terms, rng)
-        series = simulate_increments(jm, n_max, p)
+        y = simulate_increments(jm, n_max, p)
         u = realized_U(jm, p)
-        qs = np.array([quadratic_statistic(series, m) for m in ns])
+        qs = np.array([quadratic_statistic(y, m) for m in ns])
         return np.abs(qs / np.array(ns, dtype=float) - u), qs
 
     results = _parallel_map(one, replications, threads)
@@ -306,8 +305,8 @@ def run_clt_experiment(
     def one_error(i: int) -> float:
         rng = RngStream(master_seed=seed, stream_index=i)
         jm = build_jump_measure(p.alpha, half_width, n_terms, rng)
-        series = simulate_increments(jm, n, p)
-        return normalized_error(quadratic_statistic(series, n), realized_U(jm, p), n, p)
+        y = simulate_increments(jm, n, p)
+        return normalized_error(quadratic_statistic(y, n), realized_U(jm, p), n, p)
 
     def one_limit(i: int) -> float:
         rng = RngStream(master_seed=seed, stream_index=replications + i)
@@ -442,9 +441,7 @@ def identity_suite(
         rot = np.exp(1j * (s[i_idx] - s[k_idx]))
 
         pair_direct = complex(
-            double_integrate(
-                jm, KernelSpec(2, lambda x, y: kernel_r(x, p) * np.conj(kernel_r(y, p)))
-            )
+            double_integrate(jm, lambda x, y: kernel_r(x, p) * np.conj(kernel_r(y, p)))
         )
 
         worst_sq = 0.0
@@ -468,9 +465,9 @@ def identity_suite(
             geom += cur
             cur *= rot
 
-        series = simulate_increments(jm, n_increments, p)
+        y = simulate_increments(jm, n_increments, p)
         u = realized_U(jm, p)
-        q_m = quadratic_statistic(series, n_increments)
+        q_m = quadratic_statistic(y, n_increments)
         lhs = normalized_error(q_m, u, n_increments, p)
         if i % 10 == 0:
             pair_m = complex(double_integrate(jm, lambda x, y: kernel_hn(x, y, n_increments, p)))
@@ -524,7 +521,7 @@ def kernel_limit_check(s: float, u: float, p: ModelParams, n_list) -> np.ndarray
     return np.array(devs)
 
 
-def envelope_kernel(r1: float, r2: float, amplitude: float = 1.0) -> KernelSpec:
+def envelope_kernel(r1: float, r2: float, amplitude: float = 1.0):
     """Two-variable power envelope |su|^(-r1) (near band + |s-u|^(-r2) far
     part), supported on u < s; integrable over the plane iff r1 in (1/2, 1)
     and 2 r1 + r2 > 2."""
@@ -550,7 +547,7 @@ def envelope_kernel(r1: float, r2: float, amplitude: float = 1.0) -> KernelSpec:
             out[mask] += val
         return amplitude * out
 
-    return KernelSpec(2, f, singular_points=(0.0,))
+    return f
 
 
 def _band_integral(s: float, r1: float, lam: float) -> float:

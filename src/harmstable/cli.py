@@ -35,16 +35,6 @@ from .levy_model import build_jump_measure, condition_value
 from .quadrature import QuadratureSpec
 from .rng_stable import RngStream
 
-COMMANDS = (
-    "simulate",
-    "lln",
-    "clt",
-    "iid",
-    "check-condition",
-    "check-identities",
-    "kernel-limit",
-)
-
 _DEFAULTS: dict[str, dict] = {
     "simulate": {
         "alpha": 1.2,
@@ -108,38 +98,83 @@ _DEFAULTS: dict[str, dict] = {
 }
 
 
-def _parse_int_list(text) -> tuple[int, ...]:
-    if isinstance(text, (list, tuple)):
-        return tuple(int(x) for x in text)
-    try:
-        return tuple(int(tok) for tok in str(text).split(",") if tok.strip())
-    except ValueError:
-        raise ConfigError(f"n_list must be comma-separated integers, got {text!r}")
+def _integer(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(value)
+    return int(value)
 
 
-def _parse_float_list(text) -> tuple[float, ...]:
-    if isinstance(text, (list, tuple)):
-        return tuple(float(x) for x in text)
-    try:
-        return tuple(float(tok) for tok in str(text).split(",") if tok.strip())
-    except ValueError:
-        raise ConfigError(f"expected comma-separated reals, got {text!r}")
+def _count(value) -> int:
+    value = _integer(value)
+    if value < 0:
+        raise ValueError(value)
+    return value
 
 
-def _parse_pairs(text) -> tuple[tuple[float, float], ...]:
-    if isinstance(text, (list, tuple)):
-        return tuple((float(a), float(b)) for a, b in text)
-    pairs = []
-    for chunk in str(text).split(";"):
-        if not chunk.strip():
-            continue
-        parts = chunk.split(",")
-        if len(parts) != 2:
-            raise ConfigError(f"pairs must look like 's,u;s,u', got {text!r}")
-        pairs.append((float(parts[0]), float(parts[1])))
-    if not pairs:
-        raise ConfigError(f"pairs must contain at least one 's,u' entry, got {text!r}")
-    return tuple(pairs)
+def _real(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise TypeError(value)
+    return float(value)
+
+
+def _items(value, sep: str):
+    """A JSON list as it is, or a flag string split at sep."""
+    if isinstance(value, (list, tuple)):
+        return value
+    if not isinstance(value, str):
+        raise TypeError(value)
+    return [tok for tok in value.split(sep) if tok.strip()]
+
+
+def _int_list(value) -> tuple[int, ...]:
+    return tuple(_integer(x) for x in _items(value, ","))
+
+
+def _real_list(value) -> tuple[float, ...]:
+    return tuple(_real(x) for x in _items(value, ","))
+
+
+def _pairs(value) -> tuple[tuple[float, float], ...]:
+    pairs = tuple(_real_list(pair) for pair in _items(value, ";"))
+    if not pairs or any(len(pair) != 2 for pair in pairs):
+        raise ValueError(value)
+    return pairs
+
+
+def _format(value) -> str:
+    if value not in ("csv", "json"):
+        raise ValueError(value)
+    return value
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(value)
+    return value
+
+
+# config key -> (flag, converter, help). A command takes the flags of the
+# keys in its _DEFAULTS entry plus threads and out; flag and config-file
+# values go through the same converter.
+_FIELDS = {
+    "alpha": ("--alpha", _real, "stability index in (0, 2); (0, 2] for iid"),
+    "hurst": ("--hurst", _real, "self-similarity index in (0, 1)"),
+    "half_width": ("--half-width", _real, "frequency window half-width M"),
+    "n_terms": ("--n-terms", _count, "number of series atoms (integer >= 0)"),
+    "n": ("--n", _integer, "number of increments (integer)"),
+    "n_list": ("--n-list", _int_list, "comma-separated increment counts, e.g. 64,128,256"),
+    "replications": ("--reps", _integer, "Monte Carlo replications (integer)"),
+    "seed": ("--seed", _count, "master seed (integer >= 0)"),
+    "lambdas": ("--lambdas", _real_list, "comma-separated window half-widths, e.g. 50,100"),
+    "r1": ("--r1", _real, "envelope axis exponent"),
+    "r2": ("--r2", _real, "envelope gap exponent"),
+    "trials": ("--trials", _integer, "random measures to test (integer)"),
+    "tolerance": ("--tolerance", _real, "relative residual gate"),
+    "pairs": ("--pairs", _pairs, "semicolon-separated s,u pairs, e.g. '1,-0.5;3,1'"),
+    "format": ("--format", _format, "output format, csv or json"),
+    "threads": ("--threads", _count, "worker threads for the replication loop (0 = auto)"),
+    "out": ("--out", _text, "output file path"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -152,27 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def add_common(sp):
-        sp.add_argument("--alpha", type=float, default=None, help="stability index in (0, 2)")
-        sp.add_argument("--hurst", type=float, default=None, help="self-similarity index in (0, 1)")
-        sp.add_argument("--half-width", type=float, default=None, dest="half_width",
-                        help="frequency window half-width M")
-        sp.add_argument("--n-terms", type=int, default=None, dest="n_terms",
-                        help="number of series atoms")
-        sp.add_argument("--n", type=int, default=None, help="number of increments")
-        sp.add_argument("--n-list", default=None, dest="n_list",
-                        help="comma-separated increment counts, e.g. 64,128,256")
-        sp.add_argument("--reps", type=int, default=None, dest="replications",
-                        help="Monte Carlo replications")
-        sp.add_argument("--seed", type=int, default=None, help="master seed")
-        sp.add_argument("--threads", type=int, default=None,
-                        help="worker threads for the replication loop (0 = auto)")
-        sp.add_argument("--out", default=None, help="output file path")
-        sp.add_argument("--format", default=None, choices=("csv", "json"),
-                        help="output format")
-        sp.add_argument("--config", default=None,
-                        help="JSON config file; explicit flags win")
-
     helps = {
         "simulate": "simulate one coupled realization and emit its increments",
         "lln": "median |Q_n/n - U| decay across n with log-log slope",
@@ -182,21 +196,14 @@ def build_parser() -> argparse.ArgumentParser:
         "check-identities": "exact pathwise identity sweep on random atomic measures",
         "kernel-limit": "deterministic rescaled-kernel convergence check",
     }
-    for name in COMMANDS:
-        sp = sub.add_parser(name, help=helps[name])
-        add_common(sp)
-        if name == "check-condition":
-            sp.add_argument("--lambdas", default=None,
-                            help="comma-separated window half-widths, e.g. 50,100")
-            sp.add_argument("--r1", type=float, default=None, help="envelope axis exponent")
-            sp.add_argument("--r2", type=float, default=None, help="envelope gap exponent")
-        if name == "check-identities":
-            sp.add_argument("--trials", type=int, default=None, help="random measures to test")
-            sp.add_argument("--tolerance", type=float, default=None,
-                            help="relative residual gate")
-        if name == "kernel-limit":
-            sp.add_argument("--pairs", default=None,
-                            help="semicolon-separated s,u pairs, e.g. '1,-0.5;3,1'")
+    for name, help_text in helps.items():
+        # no prefix matching, so an unread --n is not taken for --n-list
+        sp = sub.add_parser(name, help=help_text, allow_abbrev=False,
+                            argument_default=argparse.SUPPRESS)
+        for key in (*_DEFAULTS[name], "threads", "out"):
+            flag, _, field_help = _FIELDS[key]
+            sp.add_argument(flag, dest=key, help=field_help)
+        sp.add_argument("--config", help="JSON config file; explicit flags win")
     return parser
 
 
@@ -213,81 +220,61 @@ def _load_config_file(path: str) -> dict:
     return {str(k).replace("-", "_"): v for k, v in data.items()}
 
 
+def _convert(key: str, value):
+    _, convert, help_text = _FIELDS[key]
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"invalid {key} {value!r}: expected {help_text}") from None
+
+
 def parse_config(argv) -> dict:
     """Resolve command-line flags and optional config file into one dict.
 
     Precedence: built-in defaults, then config file values, then explicit
-    flags. The result always carries every key the command understands."""
-    ns = build_parser().parse_args(argv)
-    command = ns.command
-    cfg = dict(_DEFAULTS[command])
-    cfg.setdefault("threads", 0)
-    cfg.setdefault("out", None)
-
-    flag_values = {k: v for k, v in vars(ns).items() if k not in ("command", "config")}
-    known = set(cfg) | set(flag_values)
-    if ns.config is not None:
-        for key, value in _load_config_file(ns.config).items():
-            if key not in known:
-                raise ConfigError(f"unknown config field: {key}")
-            cfg[key] = value
-    for key, value in flag_values.items():
-        if value is not None:
-            cfg[key] = value
-    for key in list(cfg):
-        if key not in known:
-            raise ConfigError(f"field {key} is not accepted by command {command}")
-
-    if "n_list" in cfg:
-        cfg["n_list"] = _parse_int_list(cfg["n_list"])
-    if "lambdas" in cfg:
-        cfg["lambdas"] = _parse_float_list(cfg["lambdas"])
-    if "pairs" in cfg:
-        cfg["pairs"] = _parse_pairs(cfg["pairs"])
+    flags. The result carries exactly the keys the command reads, plus
+    threads, out and command."""
+    given = vars(build_parser().parse_args(argv))
+    command = given.pop("command")
+    path = given.pop("config", None)
+    cfg = {**_DEFAULTS[command], "threads": 0, "out": None}
+    values = _load_config_file(path) if path is not None else {}
+    for key in values:
+        if key not in cfg:
+            raise ConfigError(f"unknown config field: {key}")
+    values.update(given)
+    for key, value in values.items():
+        cfg[key] = _convert(key, value)
     cfg["command"] = command
     _validate(cfg)
     return cfg
 
 
-def _require_range(cfg, key, lo, hi, lo_open=True, hi_open=True) -> None:
-    value = cfg.get(key)
-    if value is None:
-        raise ConfigError(f"missing required field: {key}")
-    value = float(value)
-    below = value <= lo if lo_open else value < lo
-    above = value >= hi if hi_open else value > hi
-    if below or above:
+def _require_range(cfg, key, lo, hi, hi_open=True) -> None:
+    value = cfg[key]
+    if value <= lo or (value >= hi if hi_open else value > hi):
         raise ConfigError(
-            f"{key} must lie in the interval "
-            f"{'(' if lo_open else '['}{lo}, {hi}{')' if hi_open else ']'}, got {value}"
+            f"{key} must lie in the interval ({lo}, {hi}{')' if hi_open else ']'}, got {value}"
         )
 
 
 def _validate(cfg: dict) -> None:
-    command = cfg["command"]
-    if command in ("simulate", "lln", "clt", "check-condition", "kernel-limit"):
+    if "hurst" in cfg:
         _require_range(cfg, "alpha", 0.0, 2.0)
         _require_range(cfg, "hurst", 0.0, 1.0)
-    if command == "iid":
+    elif "alpha" in cfg:
         _require_range(cfg, "alpha", 0.0, 2.0, hi_open=False)
-    if command in ("simulate", "lln", "clt", "check-identities"):
-        half_width = float(cfg["half_width"])
-        if not (math.isfinite(half_width) and half_width >= 1.0):
-            raise ConfigError(f"half_width must be finite and at least 1, got {half_width}")
-        if int(cfg["n_terms"]) < 0:
-            raise ConfigError(f"n_terms must be nonnegative, got {cfg['n_terms']}")
-    if command == "clt":
-        p = ModelParams(alpha=float(cfg["alpha"]), hurst=float(cfg["hurst"]))
+    half_width = cfg.get("half_width")
+    if half_width is not None and not (math.isfinite(half_width) and half_width >= 1.0):
+        raise ConfigError(f"half_width must be finite and at least 1, got {half_width}")
+    if cfg["command"] == "clt":
+        p = ModelParams(alpha=cfg["alpha"], hurst=cfg["hurst"])
         if not p.clt_regime:
             raise ConfigError(
                 "clt requires hurst > 1/2 and alpha*(1-hurst) < 1/2; "
                 f"got alpha={p.alpha}, hurst={p.hurst} "
                 f"(alpha*(1-hurst)={p.alpha * (1.0 - p.hurst):g})"
             )
-    if int(cfg.get("seed", 0)) < 0:
-        raise ConfigError(f"seed must be nonnegative, got {cfg['seed']}")
-    if int(cfg.get("threads", 0)) < 0:
-        raise ConfigError(f"threads must be >= 0, got {cfg['threads']}")
 
 
 def _report_config(cfg: dict) -> dict:
@@ -363,11 +350,11 @@ def _sidecar(path: str, suffix: str) -> str:
 
 
 def _cmd_simulate(cfg: dict, started: float) -> int:
-    p = ModelParams(alpha=float(cfg["alpha"]), hurst=float(cfg["hurst"]))
-    n = int(cfg["n"])
-    _check_resolution(n, int(cfg["n_terms"]), float(cfg["half_width"]))
-    rng = RngStream(master_seed=int(cfg["seed"]), stream_index=0)
-    jm = build_jump_measure(p.alpha, float(cfg["half_width"]), int(cfg["n_terms"]), rng)
+    p = ModelParams(alpha=cfg["alpha"], hurst=cfg["hurst"])
+    n = cfg["n"]
+    _check_resolution(n, cfg["n_terms"], cfg["half_width"])
+    rng = RngStream(master_seed=cfg["seed"], stream_index=0)
+    jm = build_jump_measure(p.alpha, cfg["half_width"], cfg["n_terms"], rng)
     if cfg["format"] == "csv":
         increments_to_csv(simulate_increments(jm, n, p), cfg.get("out") or sys.stdout)
         _announce(cfg, f"simulate: n={n} atoms={jm.n_terms} "
@@ -378,7 +365,7 @@ def _cmd_simulate(cfg: dict, started: float) -> int:
         "u_realized": real.u_realized,
         "rosenblatt": real.rosenblatt,
         "q_partial": [[m, q] for m, q in real.q_partial],
-        "increments": [[y.real, y.imag] for y in real.increments.increments],
+        "increments": [[y.real, y.imag] for y in real.increments],
     }
     _emit_json(cfg, "simulate", results)
     _announce(cfg, f"simulate: n={n} atoms={jm.n_terms} "
@@ -388,15 +375,15 @@ def _cmd_simulate(cfg: dict, started: float) -> int:
 
 
 def _cmd_lln(cfg: dict, started: float) -> int:
-    p = ModelParams(alpha=float(cfg["alpha"]), hurst=float(cfg["hurst"]))
+    p = ModelParams(alpha=cfg["alpha"], hurst=cfg["hurst"])
     report = run_lln_experiment(
         p,
-        half_width=float(cfg["half_width"]),
-        n_terms=int(cfg["n_terms"]),
+        half_width=cfg["half_width"],
+        n_terms=cfg["n_terms"],
         n_list=cfg["n_list"],
-        replications=int(cfg["replications"]),
-        seed=int(cfg["seed"]),
-        threads=int(cfg["threads"]),
+        replications=cfg["replications"],
+        seed=cfg["seed"],
+        threads=cfg["threads"],
     )
     if cfg["format"] == "csv":
         _write_samples_csv(cfg.get("out"), report.raw)
@@ -409,15 +396,15 @@ def _cmd_lln(cfg: dict, started: float) -> int:
 
 
 def _cmd_clt(cfg: dict, started: float) -> int:
-    p = ModelParams(alpha=float(cfg["alpha"]), hurst=float(cfg["hurst"]))
+    p = ModelParams(alpha=cfg["alpha"], hurst=cfg["hurst"])
     report = run_clt_experiment(
         p,
-        half_width=float(cfg["half_width"]),
-        n_terms=int(cfg["n_terms"]),
-        n=int(cfg["n"]),
-        replications=int(cfg["replications"]),
-        seed=int(cfg["seed"]),
-        threads=int(cfg["threads"]),
+        half_width=cfg["half_width"],
+        n_terms=cfg["n_terms"],
+        n=cfg["n"],
+        replications=cfg["replications"],
+        seed=cfg["seed"],
+        threads=cfg["threads"],
     )
     if cfg["format"] == "csv":
         out = cfg.get("out")
@@ -435,18 +422,18 @@ def _cmd_clt(cfg: dict, started: float) -> int:
 
 def _cmd_iid(cfg: dict, started: float) -> int:
     report = iid_stable_qv_experiment(
-        float(cfg["alpha"]),
+        cfg["alpha"],
         n_list=cfg["n_list"],
-        replications=int(cfg["replications"]),
-        seed=int(cfg["seed"]),
-        threads=int(cfg["threads"]),
+        replications=cfg["replications"],
+        seed=cfg["seed"],
+        threads=cfg["threads"],
     )
     if cfg["format"] == "csv":
         _write_samples_csv(cfg.get("out"), report.raw)
     else:
         _emit_json(cfg, "iid", report.results_dict())
     slope = "undefined" if report.slope is None else f"{report.slope:.4f}"
-    _announce(cfg, f"iid: slope={slope} target={2.0 / float(cfg['alpha']):.4f} "
+    _announce(cfg, f"iid: slope={slope} target={2.0 / cfg['alpha']:.4f} "
                    f"(runtime {time.time() - started:.2f}s)")
     return 0
 
@@ -454,7 +441,7 @@ def _cmd_iid(cfg: dict, started: float) -> int:
 def _cmd_check_condition(cfg: dict, started: float) -> int:
     if cfg["format"] == "csv":
         raise ConfigError("format csv is not supported for check-condition; use json")
-    p = ModelParams(alpha=float(cfg["alpha"]), hurst=float(cfg["hurst"]))
+    p = ModelParams(alpha=cfg["alpha"], hurst=cfg["hurst"])
     lams = cfg["lambdas"]
     if len(lams) < 2:
         raise ConfigError(f"lambdas needs at least two window sizes, got {lams}")
@@ -467,14 +454,14 @@ def _cmd_check_condition(cfg: dict, started: float) -> int:
         for lam in lams
     ]
     cond_growth = [abs(b / a - 1.0) for a, b in zip(cond, cond[1:])]
-    env = envelope_quadrature(float(cfg["r1"]), float(cfg["r2"]), lams)
+    env = envelope_quadrature(cfg["r1"], cfg["r2"], lams)
     env_growth = [abs(b / a - 1.0) for a, b in zip(env, env[1:])]
     results = {
         "lambdas": list(lams),
         "condition_values": cond,
         "condition_growth": cond_growth,
-        "r1": float(cfg["r1"]),
-        "r2": float(cfg["r2"]),
+        "r1": cfg["r1"],
+        "r2": cfg["r2"],
         "envelope_values": env.tolist(),
         "envelope_growth": env_growth,
     }
@@ -489,13 +476,13 @@ def _cmd_check_identities(cfg: dict, started: float) -> int:
     if cfg["format"] == "csv":
         raise ConfigError("format csv is not supported for check-identities; use json")
     results = identity_suite(
-        trials=int(cfg["trials"]),
-        seed=int(cfg["seed"]),
-        half_width=float(cfg["half_width"]),
-        n_terms=int(cfg["n_terms"]),
-        threads=int(cfg["threads"]),
+        trials=cfg["trials"],
+        seed=cfg["seed"],
+        half_width=cfg["half_width"],
+        n_terms=cfg["n_terms"],
+        threads=cfg["threads"],
     )
-    tol = float(cfg["tolerance"])
+    tol = cfg["tolerance"]
     worst = max(
         results["max_square_decomposition_residual"],
         results["max_error_representation_residual"],
@@ -515,7 +502,7 @@ def _cmd_check_identities(cfg: dict, started: float) -> int:
 def _cmd_kernel_limit(cfg: dict, started: float) -> int:
     if cfg["format"] == "csv":
         raise ConfigError("format csv is not supported for kernel-limit; use json")
-    p = ModelParams(alpha=float(cfg["alpha"]), hurst=float(cfg["hurst"]))
+    p = ModelParams(alpha=cfg["alpha"], hurst=cfg["hurst"])
     n_list = cfg["n_list"]
     rows = []
     decreasing = True

@@ -28,7 +28,6 @@ from .kernels import ModelParams, kernel_r, phi_qv
 from .levy_model import JumpMeasure, integrate_qv
 
 __all__ = [
-    "IncrementSeries",
     "CoupledRealization",
     "simulate_increments",
     "realized_U",
@@ -53,29 +52,12 @@ _leggauss = lru_cache(maxsize=16)(leggauss)
 
 
 @dataclass(frozen=True, eq=False)
-class IncrementSeries:
-    """Unit-lag increments Y_0 .. Y_{n-1} of one realization."""
-
-    n: int
-    increments: np.ndarray
-    params: ModelParams
-    master_seed: int | None = None
-    stream_index: int | None = None
-    half_width: float | None = None
-    n_terms: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.increments.shape != (self.n,):
-            raise ParameterError("increments must be a length-n complex vector")
-
-
-@dataclass(frozen=True, eq=False)
 class CoupledRealization:
     """Increments, realized limit U, partial quadratic statistics and
     (optionally) the realized double-integral limit, all on shared atoms."""
 
     params: ModelParams
-    increments: IncrementSeries
+    increments: np.ndarray
     u_realized: float
     q_partial: tuple[tuple[int, float], ...]
     rosenblatt: float | None = None
@@ -85,7 +67,7 @@ class CoupledRealization:
     n_terms: int | None = None
 
 
-def simulate_increments(jm: JumpMeasure, n: int, p: ModelParams) -> IncrementSeries:
+def simulate_increments(jm: JumpMeasure, n: int, p: ModelParams) -> np.ndarray:
     """Evaluate Y_j = sum_i exp(i j s_i) c_i, c_i = r(s_i) v_i, for j < n.
 
     With B = isqrt(n) and K = ceil(n / B), every j < B*K is kB + b for
@@ -110,15 +92,7 @@ def simulate_increments(jm: JumpMeasure, n: int, p: ModelParams) -> IncrementSer
         baby = _powers(rot, b, 1.0)
         giant = _powers(baby[-1] * rot, k, c[i0 : i0 + _ATOM_BLOCK])
         acc += baby @ giant.T
-    return IncrementSeries(
-        n=n,
-        increments=acc.T.ravel()[:n],
-        params=p,
-        master_seed=jm.master_seed,
-        stream_index=jm.stream_index,
-        half_width=jm.half_width,
-        n_terms=jm.n_terms,
-    )
+    return acc.T.ravel()[:n]
 
 
 def _powers(ratio: np.ndarray, rows: int, first) -> np.ndarray:
@@ -136,11 +110,12 @@ def realized_U(jm: JumpMeasure, p: ModelParams) -> float:
     return 2.0 * integrate_qv(jm, lambda s: phi_qv(s, p))
 
 
-def quadratic_statistic(series: IncrementSeries, m: int) -> float:
-    """Quadratic statistic Q_m, the sum of the first m squared increment moduli."""
-    if not (1 <= m <= series.n):
-        raise ParameterError(f"m must be in [1, {series.n}], got {m}")
-    y = series.increments[:m]
+def quadratic_statistic(y: np.ndarray, m: int) -> float:
+    """Quadratic statistic Q_m, the sum of the first m squared moduli of the
+    increments y."""
+    if not (1 <= m <= y.size):
+        raise ParameterError(f"m must be in [1, {y.size}], got {m}")
+    y = y[:m]
     return float(np.sum(y.real**2 + y.imag**2))
 
 
@@ -225,12 +200,12 @@ def couple(
     marks = tuple(q_marks) if q_marks is not None else (n,)
     if any(not (1 <= m <= n) for m in marks):
         raise ParameterError(f"q_marks must lie in [1, {n}], got {marks}")
-    series = simulate_increments(jm, n, p)
-    q_partial = tuple((m, quadratic_statistic(series, m)) for m in marks)
+    y = simulate_increments(jm, n, p)
+    q_partial = tuple((m, quadratic_statistic(y, m)) for m in marks)
     ros = realized_rosenblatt(jm, p) if with_rosenblatt else None
     return CoupledRealization(
         params=p,
-        increments=series,
+        increments=y,
         u_realized=realized_U(jm, p),
         q_partial=q_partial,
         rosenblatt=ros,
@@ -241,23 +216,23 @@ def couple(
     )
 
 
-def increments_to_csv(series: IncrementSeries, dest) -> None:
-    """Write j, re, im rows (17 significant digits) to a path, or to an open
-    text stream, which is left open."""
+def increments_to_csv(y: np.ndarray, dest) -> None:
+    """Write the increments y as j, re, im rows (17 significant digits) to a
+    path, or to an open text stream, which is left open."""
     with nullcontext(dest) if hasattr(dest, "write") else open(dest, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["j", "re", "im"])
-        for j, y in enumerate(series.increments):
-            writer.writerow([j, format(y.real, ".17g"), format(y.imag, ".17g")])
+        for j, v in enumerate(y):
+            writer.writerow([j, format(v.real, ".17g"), format(v.imag, ".17g")])
 
 
-def increments_from_csv(path, p: ModelParams) -> IncrementSeries:
+def increments_from_csv(path) -> np.ndarray:
+    """The increments written by increments_to_csv, as a complex vector."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if rows and rows[0] == ["j", "re", "im"]:
         rows = rows[1:]
-    vals = np.array([complex(float(r[1]), float(r[2])) for r in rows])
-    return IncrementSeries(n=vals.size, increments=vals, params=p)
+    return np.array([complex(float(r[1]), float(r[2])) for r in rows], dtype=complex)
 
 
 def realization_to_json(cr: CoupledRealization) -> str:

@@ -18,8 +18,7 @@ import csv
 import logging
 import math
 import threading
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, j0
@@ -29,7 +28,6 @@ from .quadrature import QuadratureSpec, grid_integral_2d, log_integral_1d
 from .rng_stable import RngStream, poisson_arrivals
 
 __all__ = [
-    "KernelSpec",
     "JumpMeasure",
     "build_jump_measure",
     "integrate",
@@ -70,33 +68,6 @@ _UNIT_SERIES_SCALE: dict[float, float] = {
 }
 _estimated_scales: dict[float, float] = {}
 _estimate_lock = threading.Lock()  # one estimate per alpha, whatever the threads
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """A deterministic integrand together with what the integrators must know
-    about it: arity, declared singular points, and an optional support test."""
-
-    arity: int
-    evaluator: Callable
-    singular_points: tuple[float, ...] = ()
-    support: Callable | None = None
-
-    def __post_init__(self) -> None:
-        if self.arity not in (1, 2):
-            raise ParameterError(f"kernel arity must be 1 or 2, got {self.arity}")
-
-    @classmethod
-    def coerce(cls, f, arity: int) -> "KernelSpec":
-        if isinstance(f, cls):
-            if f.arity != arity:
-                raise ParameterError(
-                    f"expected an arity-{arity} kernel, got arity {f.arity}"
-                )
-            return f
-        if callable(f):
-            return cls(arity, f)
-        raise ParameterError(f"not a kernel: {f!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,10 +219,9 @@ def _eval_finite(vals: np.ndarray, where: np.ndarray, what: str) -> None:
 
 def integrate(jm: JumpMeasure, f) -> complex:
     """Single integral of f against the measure: sum_i f(s_i) * value_i."""
-    spec = KernelSpec.coerce(f, 1)
     if jm.n_terms == 0:
         return 0j
-    vals = np.asarray(spec.evaluator(jm.locations))
+    vals = np.asarray(f(jm.locations))
     _eval_finite(vals, jm.locations, "arity-1 kernel")
     return complex(np.sum(vals * jm.values))
 
@@ -259,10 +229,9 @@ def integrate(jm: JumpMeasure, f) -> complex:
 def integrate_qv(jm: JumpMeasure, phi, check_nonnegative: bool = True) -> float:
     """Integral of phi against the pathwise quadratic variation measure:
     sum_i phi(s_i) * |value_i|^2."""
-    spec = KernelSpec.coerce(phi, 1)
     if jm.n_terms == 0:
         return 0.0
-    vals = np.asarray(spec.evaluator(jm.locations), dtype=float)
+    vals = np.asarray(phi(jm.locations), dtype=float)
     _eval_finite(vals, jm.locations, "quadratic-variation integrand")
     if check_nonnegative and np.any(vals < 0.0):
         idx = int(np.argmax(vals < 0.0))
@@ -289,7 +258,6 @@ def double_integrate(jm: JumpMeasure, f) -> complex:
     The kernel is evaluated only on pairs inside the triangle, so integrands
     that are singular or undefined elsewhere are safe.
     """
-    spec = KernelSpec.coerce(f, 2)
     s = jm.locations
     z = jm.values
     n = s.size
@@ -304,7 +272,7 @@ def double_integrate(jm: JumpMeasure, f) -> complex:
         mask = np.arange(i1)[None, :] < rows[:, None]
         s_i = np.broadcast_to(s[rows][:, None], mask.shape)[mask]
         s_k = np.broadcast_to(s[None, :i1], mask.shape)[mask]
-        vals = np.asarray(spec.evaluator(s_i, s_k), dtype=complex)
+        vals = np.asarray(f(s_i, s_k), dtype=complex)
         bad = ~np.isfinite(vals)
         if np.any(bad):
             idx = int(np.argmax(bad))
@@ -332,13 +300,12 @@ def condition_value(f, alpha: float, psi_fn, quad: QuadratureSpec) -> float:
     Monotone nondecreasing in the outer cutoff and under inner-cutoff
     refinement by powers of ten, by construction of the grid.
     """
-    spec = KernelSpec.coerce(f, 2)
     if not (0.0 < alpha <= 2.0):
         raise ParameterError(f"alpha must be in (0, 2], got {alpha}")
     _check_psi_normalization(psi_fn, alpha)
 
     def integrand(s, u):
-        fv = np.abs(np.asarray(spec.evaluator(s, u)))
+        fv = np.abs(np.asarray(f(s, u)))
         env = np.asarray(psi_fn(s), dtype=float) * np.asarray(psi_fn(u), dtype=float)
         out = np.zeros(np.broadcast(s, u).shape)
         pos = fv > 0.0
@@ -377,7 +344,7 @@ def jump_measure_from_csv(path) -> JumpMeasure:
     if rows and rows[0] == ["location", "re", "im"]:
         rows = rows[1:]
     locations = np.array([float(r[0]) for r in rows])
-    values = np.array([complex(float(r[1]), float(r[2])) for r in rows])
+    values = np.array([complex(float(r[1]), float(r[2])) for r in rows], dtype=complex)
 
     def opt_int(text: str) -> int | None:
         return None if text == "None" else int(text)

@@ -1,6 +1,5 @@
 """Unit tests for the experiment runners and verification checks."""
 
-import dataclasses
 import math
 import sys
 import threading
@@ -189,10 +188,9 @@ class TestIdentitySuite:
 
     def test_perturbed_increment_exceeds_gate(self, monkeypatch):
         def perturbed(jm, n, p):
-            series = simulate_increments(jm, n, p)
-            y = series.increments.copy()
+            y = simulate_increments(jm, n, p)
             y[np.argmax(np.abs(y))] *= 1.0 + 1e-6
-            return dataclasses.replace(series, increments=y)
+            return y
 
         monkeypatch.setattr(analysis, "simulate_increments", perturbed)
         out = identity_suite(1, seed=58000, half_width=10.0, n_terms=1000, threads=1)
@@ -231,15 +229,15 @@ class TestKernelLimitCheck:
 
 class TestEnvelopeKernel:
     def test_point_values(self):
-        f = envelope_kernel(0.7, 1.2).evaluator
+        f = envelope_kernel(0.7, 1.2)
         assert f(3.0, 2.5) == pytest.approx((3.0 * 2.5) ** -0.7)
         assert f(3.0, 1.0) == pytest.approx(3.0**-0.7 * 2.0**-1.2)
         assert f(2.0, 2.0) == 0.0 and f(1.0, 2.0) == 0.0
 
     def test_amplitude_scaling(self):
-        base = envelope_kernel(0.7, 1.2).evaluator(3.0, 2.5)
-        double = envelope_kernel(0.7, 1.2, amplitude=2.0).evaluator(3.0, 2.5)
-        zero = envelope_kernel(0.7, 1.2, amplitude=0.0).evaluator(3.0, 2.5)
+        base = envelope_kernel(0.7, 1.2)(3.0, 2.5)
+        double = envelope_kernel(0.7, 1.2, amplitude=2.0)(3.0, 2.5)
+        zero = envelope_kernel(0.7, 1.2, amplitude=0.0)(3.0, 2.5)
         assert double == pytest.approx(2.0 * base)
         assert zero == 0.0
 
@@ -318,9 +316,9 @@ class TestThreadCountInvariance:
         before = get()
         put(2)
         try:
-            two = simulate_increments(jm, 512, P).increments
+            two = simulate_increments(jm, 512, P)
             put(1)
-            one = simulate_increments(jm, 512, P).increments
+            one = simulate_increments(jm, 512, P)
         finally:
             put(before)
         np.testing.assert_array_equal(one, two)

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import importlib
 import json
 import os
 import pkgutil
@@ -16,12 +17,13 @@ except ModuleNotFoundError:  # Python < 3.11
     import tomli as tomllib
 
 import harmstable
-from harmstable import __version__
-from harmstable.cli import main, parse_config
+from harmstable import __version__, cli
+from harmstable.cli import _DEFAULTS, main, parse_config
 from harmstable.errors import ConfigError
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 PACKAGE_ROOT = Path(harmstable.__file__).resolve().parents[1]
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 LLN_ARGS = [
     "lln",
@@ -76,6 +78,7 @@ class TestParseConfig:
             ["clt", "--hurst", "0.4"],
             ["clt", "--alpha", "1.8", "--hurst", "0.55"],
             ["lln", "--seed", "-1"],
+            ["kernel-limit", "--pairs", "1,a"],
         ],
     )
     def test_validation_failures(self, argv):
@@ -85,6 +88,120 @@ class TestParseConfig:
     def test_missing_command_is_a_usage_error(self):
         with pytest.raises(SystemExit):
             parse_config([])
+
+
+# one or two flags per command that the command does not read; --n is a
+# prefix of --n-list and --n-terms, so it must not pass as either
+UNREAD_FLAGS = [
+    ("simulate", "--reps", "replications", "5"),
+    ("lln", "--n", "n", "8"),
+    ("clt", "--n-list", "n_list", "8,16"),
+    ("iid", "--hurst", "hurst", "0.3"),
+    ("iid", "--n", "n", "5"),
+    ("check-condition", "--n-terms", "n_terms", "9"),
+    ("check-identities", "--alpha", "alpha", "1.2"),
+    ("check-identities", "--n", "n", "5"),
+    ("kernel-limit", "--seed", "seed", "3"),
+    ("kernel-limit", "--n", "n", "5"),
+]
+
+# small runs of every command with a JSON report
+SMALL_RUNS = {
+    "simulate": ["--n", "8", "--n-terms", "100", "--half-width", "5", "--format", "json"],
+    "lln": LLN_ARGS[1:] + ["--threads", "2"],
+    "clt": ["--half-width", "5", "--n-terms", "400", "--n", "16", "--reps", "4",
+            "--threads", "2"],
+    "iid": ["--n-list", "64,128,256", "--reps", "100", "--threads", "2"],
+    "check-condition": ["--lambdas", "20,40"],
+    "check-identities": ["--trials", "2", "--n-terms", "200", "--threads", "2"],
+    "kernel-limit": ["--n-list", "64,256"],
+}
+
+
+class TestPerCommandFlags:
+    """Each command takes the flags of the fields it reads, plus --threads,
+    --out and --config; its report's config holds exactly those fields."""
+
+    @pytest.mark.parametrize("command, flag, key, value", UNREAD_FLAGS)
+    def test_unread_flag_is_a_usage_error(self, capsys, command, flag, key, value):
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag, key, value", UNREAD_FLAGS)
+    def test_unread_key_in_config_file_rejected(self, tmp_path, command, flag, key, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: value}))
+        with pytest.raises(ConfigError, match=f"unknown config field: {key}"):
+            parse_config([command, "--config", str(path)])
+
+    @pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+    def test_report_config_is_the_command_fields(self, capsys, command):
+        rc, out, _ = run_main(capsys, [command, *SMALL_RUNS[command]])
+        assert rc == 0
+        assert list(json.loads(out)["config"]) == [k for k in _DEFAULTS[command] if k != "format"]
+
+    @pytest.mark.parametrize(
+        "command, fields",
+        [
+            ("simulate", {"n": "abc"}),
+            ("simulate", {"n": None}),
+            ("simulate", {"n": 8.7}),
+            ("simulate", {"alpha": "x"}),
+            ("simulate", {"seed": None}),
+            ("simulate", {"seed": -1}),
+            ("simulate", {"n_terms": True}),
+            ("simulate", {"format": "xml"}),
+            ("simulate", {"out": 3}),
+            ("lln", {"n_list": [8, 16.5]}),
+            ("lln", {"n_list": 64}),
+            ("check-condition", {"lambdas": "20,x"}),
+            ("kernel-limit", {"pairs": [[1.0]]}),
+            ("kernel-limit", {"pairs": "1,a"}),
+        ],
+    )
+    def test_malformed_config_value_exits_2(self, capsys, tmp_path, command, fields):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(fields))
+        rc, out, err = run_main(capsys, [command, "--config", str(path)])
+        assert rc == 2 and out == ""
+        assert err.splitlines() == [err.rstrip("\n")]
+        assert err.startswith(f"error: invalid {next(iter(fields))} ")
+
+    def test_config_values_take_the_flag_converters(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"half_width": 5, "n_list": "8,16", "seed": "3"}))
+        cfg = parse_config(["lln", "--config", str(path)])
+        assert cfg["half_width"] == 5.0 and type(cfg["half_width"]) is float
+        assert cfg["n_list"] == (8, 16) and cfg["seed"] == 3
+
+
+class TestBenchmarkTracer:
+    def test_tracer_binds_to_the_package(self, monkeypatch, capsys):
+        # the benchmark's --trace 1 wraps functions by name and reads work
+        # counts from their bound arguments, so a renamed function or
+        # parameter breaks it
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        tracing = importlib.import_module("tracing")
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            for command in ("lln", "clt", "check-identities", "check-condition"):
+                assert cli.main([command, *SMALL_RUNS[command]]) == 0
+        finally:
+            tracer.uninstall()
+        assert cli.main is main
+        totals = tracer.take()
+        for layer in (
+            "levy_model.build_jump_measure",  # atoms
+            "harmonizable.simulate_increments",  # atom_steps
+            "harmonizable.rosenblatt_fast",  # node_atoms
+            "levy_model.double_integrate",  # pairs
+            "quadrature.grid_integral_2d",  # cells
+        ):
+            assert totals[layer][3] > 0, layer
+        assert totals["levy_model.condition_value"][0] > 0
 
 
 class TestMainExitCodes:

@@ -2,6 +2,8 @@
 
 import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +59,18 @@ def recurrence_oracle(s: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+# finite doubles with the edge cases of a 17-digit text round trip: signed
+# zeros, subnormals, the smallest normal and magnitudes near overflow
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+               1e300, -1e300, 1.7976931348623157e308)
+FINITE = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    """The array's float64 words, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
 # perfect squares +- 1 and the values around 1024 and 2048
 EDGE_N = sorted({q * q + d for q in (1, 2, 3, 10, 32, 45, 54) for d in (-1, 0, 1) if q * q + d >= 1}
                 | {1023, 1024, 1025, 2047, 2048, 2049, 3000})
@@ -66,11 +80,11 @@ class TestSimulateIncrements:
     def test_matches_direct_evaluation_across_resets(self):
         jm = small_measure(0, n_terms=300)
         n = 2098  # past 1024 and 2048; B = 45 baby and K = 47 giant steps
-        series = simulate_increments(jm, n, P)
+        y = simulate_increments(jm, n, P)
         amp = kernel_r(jm.locations, P) * jm.values
         direct = np.exp(1j * np.outer(np.arange(n), jm.locations)) @ amp
         scale = np.abs(direct).max()
-        np.testing.assert_allclose(series.increments, direct, rtol=0,
+        np.testing.assert_allclose(y, direct, rtol=0,
                                    atol=1e-10 * scale)
 
     @settings(derandomize=True, deadline=None, max_examples=40)
@@ -89,26 +103,30 @@ class TestSimulateIncrements:
         jm = JumpMeasure(s, jm.values, 1.2, half_width, jm.calibration, s.size)
         c = kernel_r(s, P) * jm.values
         tol = 1e-12 * float(np.abs(c).sum())
-        y = simulate_increments(jm, n, P).increments
+        y = simulate_increments(jm, n, P)
         dense = np.exp(1j * np.outer(np.arange(n), s)) @ c
         assert np.abs(y - dense).max() <= tol
         assert np.abs(y - recurrence_oracle(s, c, n)).max() <= tol
 
     def test_empty_measure_gives_zero_increments(self):
         empty = JumpMeasure(np.array([]), np.array([], complex), 1.2, 1.0, 1.0, 0)
-        np.testing.assert_array_equal(simulate_increments(empty, 5, P).increments, np.zeros(5))
+        np.testing.assert_array_equal(simulate_increments(empty, 5, P), np.zeros(5))
 
     def test_provenance_copied(self):
+        # the increments are a plain vector; the measure's provenance is
+        # copied onto the coupled realization that holds them
         jm = small_measure(1)
-        series = simulate_increments(jm, 8, P)
-        assert series.n == 8
-        assert series.master_seed == 31 and series.stream_index == 1
-        assert series.half_width == 10.0 and series.n_terms == 400
-        assert series.params == P
+        y = simulate_increments(jm, 8, P)
+        assert type(y) is np.ndarray and y.shape == (8,) and y.dtype == complex
+        cr = couple(jm, P, 8)
+        np.testing.assert_array_equal(cr.increments, y)
+        assert cr.master_seed == 31 and cr.stream_index == 1
+        assert cr.half_width == 10.0 and cr.n_terms == 400
+        assert cr.params == P
 
     def test_deterministic(self):
-        a = simulate_increments(small_measure(2), 32, P).increments
-        b = simulate_increments(small_measure(2), 32, P).increments
+        a = simulate_increments(small_measure(2), 32, P)
+        b = simulate_increments(small_measure(2), 32, P)
         np.testing.assert_array_equal(a, b)
 
     def test_rejects_bad_n(self):
@@ -118,19 +136,18 @@ class TestSimulateIncrements:
 
 class TestQuadraticStatistic:
     def test_partial_sums(self):
-        series = simulate_increments(small_measure(4), 64, P)
-        y = series.increments
+        y = simulate_increments(small_measure(4), 64, P)
         csum = np.cumsum(np.abs(y) ** 2)
         for m in (1, 2, 17, 64):
-            assert quadratic_statistic(series, m) == pytest.approx(
+            assert quadratic_statistic(y, m) == pytest.approx(
                 csum[m - 1], rel=1e-13
             )
 
     def test_rejects_out_of_range_m(self):
-        series = simulate_increments(small_measure(4), 16, P)
+        y = simulate_increments(small_measure(4), 16, P)
         for m in (0, -1, 17):
             with pytest.raises(ParameterError):
-                quadratic_statistic(series, m)
+                quadratic_statistic(y, m)
 
 
 class TestRealizedU:
@@ -162,8 +179,8 @@ class TestCouplingIdentity:
         # holds atom by atom, not just in distribution
         jm = small_measure(6)
         n = 64
-        series = simulate_increments(jm, n, P)
-        q_n = quadratic_statistic(series, n)
+        y = simulate_increments(jm, n, P)
+        q_n = quadratic_statistic(y, n)
         lhs = normalized_error(q_n, realized_U(jm, P), n, P)
         rhs = 2.0 * complex(double_integrate(jm, lambda s, u: kernel_hn(s, u, n, P))).real
         assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-13)
@@ -273,10 +290,10 @@ class TestCouple:
     def test_collects_marks_and_limits(self):
         jm = small_measure(10)
         cr = couple(jm, P, 64, q_marks=(16, 64), with_rosenblatt=True)
-        series = simulate_increments(jm, 64, P)
+        y = simulate_increments(jm, 64, P)
         assert cr.q_partial == (
-            (16, quadratic_statistic(series, 16)),
-            (64, quadratic_statistic(series, 64)),
+            (16, quadratic_statistic(y, 16)),
+            (64, quadratic_statistic(y, 64)),
         )
         assert cr.u_realized == realized_U(jm, P)
         assert cr.rosenblatt == pytest.approx(realized_rosenblatt(jm, P))
@@ -296,21 +313,35 @@ class TestCouple:
 
 class TestSerialization:
     def test_increments_csv_round_trip(self, tmp_path):
-        series = simulate_increments(small_measure(12), 48, P)
+        y = simulate_increments(small_measure(12), 48, P)
         path = tmp_path / "increments.csv"
-        increments_to_csv(series, path)
-        back = increments_from_csv(path, P)
-        assert back.n == 48
-        np.testing.assert_array_equal(back.increments, series.increments)
+        increments_to_csv(y, path)
+        back = increments_from_csv(path)
+        assert back.shape == (48,)
+        np.testing.assert_array_equal(back, y)
 
     def test_increments_csv_to_stream_matches_file(self, tmp_path):
-        series = simulate_increments(small_measure(12), 48, P)
+        y = simulate_increments(small_measure(12), 48, P)
         path = tmp_path / "increments.csv"
-        increments_to_csv(series, path)
+        increments_to_csv(y, path)
         stream = io.StringIO()
-        increments_to_csv(series, stream)
+        increments_to_csv(y, stream)
         assert not stream.closed
         assert stream.getvalue().encode() == path.read_bytes()
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(parts=st.lists(st.tuples(FINITE, FINITE), min_size=1, max_size=40))
+    def test_increments_csv_round_trip_is_bit_exact(self, parts):
+        y = np.array([complex(re, im) for re, im in parts])
+        stream = io.StringIO()
+        increments_to_csv(y, stream)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "increments.csv"
+            increments_to_csv(y, path)
+            assert path.read_bytes() == stream.getvalue().encode()
+            back = increments_from_csv(path)
+        assert back.dtype == complex
+        np.testing.assert_array_equal(bits(back), bits(y))
 
     def test_realization_json(self):
         jm = small_measure(13)

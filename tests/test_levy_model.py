@@ -1,16 +1,19 @@
 """Unit tests for atomic noise realizations and pathwise integrators."""
 
 import sys
+import tempfile
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gamma as gamma_fn
 
 from harmstable import (
     JumpMeasure,
-    KernelSpec,
     ParameterError,
     QuadratureSpec,
     RngStream,
@@ -39,28 +42,6 @@ def three_atoms() -> JumpMeasure:
         calibration=1.0,
         n_terms=3,
     )
-
-
-class TestKernelSpec:
-    def test_coerce_callable(self):
-        spec = KernelSpec.coerce(lambda s: s, 1)
-        assert spec.arity == 1 and spec.evaluator(3.0) == 3.0
-
-    def test_coerce_passthrough(self):
-        spec = KernelSpec(2, lambda s, u: s - u, singular_points=(0.0,))
-        assert KernelSpec.coerce(spec, 2) is spec
-
-    def test_coerce_arity_mismatch(self):
-        with pytest.raises(ParameterError):
-            KernelSpec.coerce(KernelSpec(1, lambda s: s), 2)
-
-    def test_rejects_bad_arity(self):
-        with pytest.raises(ParameterError):
-            KernelSpec(3, lambda s: s)
-
-    def test_rejects_noncallable(self):
-        with pytest.raises(ParameterError):
-            KernelSpec.coerce(42, 1)
 
 
 class TestJumpMeasureValidation:
@@ -293,7 +274,51 @@ class TestConditionValue:
             )
 
 
+# see tests/test_harmonizable.py: the edge cases of a 17-digit round trip
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+               1e300, -1e300, 1.7976931348623157e308)
+FINITE = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def jump_measures(draw) -> JumpMeasure:
+    half_width = draw(st.one_of(st.sampled_from((1e-300, 1.0, 1e300)), st.floats(1e-300, 1e300)))
+    locations = draw(st.lists(st.floats(-half_width, half_width), max_size=30, unique=True))
+    n = len(locations)
+    parts = draw(st.lists(st.tuples(FINITE, FINITE), min_size=n, max_size=n))
+    provenance = st.none() | st.integers(0, 2**64)
+    return JumpMeasure(
+        locations=np.sort(np.array(locations, dtype=float)),
+        values=np.array([complex(re, im) for re, im in parts], dtype=complex),
+        alpha=draw(st.floats(0.0, 2.0, exclude_min=True, exclude_max=True)),
+        half_width=half_width,
+        calibration=draw(st.floats(5e-324, 1e300)),
+        n_terms=n,
+        master_seed=draw(provenance),
+        stream_index=draw(provenance),
+    )
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    """The array's float64 words, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
 class TestCsvRoundTrip:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(jm=jump_measures())
+    def test_round_trip_is_bit_exact(self, jm):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "atoms.csv"
+            jump_measure_to_csv(jm, path)
+            back = jump_measure_from_csv(path)
+        np.testing.assert_array_equal(bits(back.locations), bits(jm.locations))
+        assert back.values.dtype == complex
+        np.testing.assert_array_equal(bits(back.values), bits(jm.values))
+        for name in ("alpha", "half_width", "calibration", "n_terms", "master_seed",
+                     "stream_index"):
+            assert getattr(back, name) == getattr(jm, name), name
+
     def test_exact_round_trip(self, tmp_path):
         jm = build_jump_measure(1.2, 10.0, 200, RngStream(13, 2))
         path = tmp_path / "atoms.csv"
