@@ -62,7 +62,6 @@ from .levy_model import (
     integrate_qv,
     jump_measure_from_csv,
     jump_measure_to_csv,
-    quadratic_variation,
     series_unit_scale,
 )
 from .quadrature import QuadratureSpec, axis_cells, grid_integral_2d, log_integral_1d
@@ -119,7 +118,6 @@ __all__ = [
     "psi",
     "psi_norm_constant",
     "quadratic_statistic",
-    "quadratic_variation",
     "realization_to_json",
     "realized_U",
     "realized_rosenblatt",

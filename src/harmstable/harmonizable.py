@@ -24,7 +24,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import ParameterError, SingularityError
-from .kernels import ModelParams, kernel_r, phi_qv
+from .kernels import ModelParams, half_angle_exp, phi_qv, r_from_half_angle
 from .levy_model import JumpMeasure, integrate_qv
 
 __all__ = [
@@ -73,24 +73,26 @@ def simulate_increments(jm: JumpMeasure, n: int, p: ModelParams) -> np.ndarray:
     With B = isqrt(n) and K = ceil(n / B), every j < B*K is kB + b for
     b < B, k < K, and exp(i (kB + b) s) = exp(i b s) exp(i kB s). So per
     block of atoms a baby table exp(i b s) and a giant table
-    c exp(i kB s) are built by repeated multiplication from one exp(i s)
-    per atom, and their product (B x atoms) @ (atoms x K) adds Y_{kB+b}
-    into entry (b, k) of a B x K accumulator, read out k-major. This is
-    (B + K) * atoms table entries and one matrix product in place of
-    n * atoms rotation steps; each power carries at most about n roundings,
-    the same as a rotation recurrence.
+    c exp(i kB s) are built by repeated multiplication from exp(i s) = h * h,
+    h = exp(i s/2), which also gives r(s). Their product (B x atoms) @
+    (atoms x K) adds Y_{kB+b} into entry (b, k) of a B x K accumulator,
+    read out k-major. This is (B + K) * atoms table entries and one matrix
+    product in place of n * atoms rotation steps; each power carries at
+    most about n roundings, the same as a rotation recurrence.
     """
     if n < 1:
         raise ParameterError(f"n must be a positive integer, got {n}")
     s = jm.locations
-    c = kernel_r(s, p) * jm.values
     b = math.isqrt(n)
     k = -(-n // b)
     acc = np.zeros((b, k), dtype=complex)
     for i0 in range(0, s.size, _ATOM_BLOCK):
-        rot = np.exp(1j * s[i0 : i0 + _ATOM_BLOCK])
+        sb = s[i0 : i0 + _ATOM_BLOCK]
+        h = half_angle_exp(sb)
+        rot = h * h
+        c = r_from_half_angle(sb, h, p.gamma) * jm.values[i0 : i0 + _ATOM_BLOCK]
         baby = _powers(rot, b, 1.0)
-        giant = _powers(baby[-1] * rot, k, c[i0 : i0 + _ATOM_BLOCK])
+        giant = _powers(baby[-1] * rot, k, c)
         acc += baby @ giant.T
     return acc.T.ravel()[:n]
 
@@ -181,12 +183,13 @@ def rosenblatt_fast(jm: JumpMeasure, p: ModelParams, t_nodes: int | None = None)
 
 
 def tail_error_estimate(p: ModelParams, half_width: float) -> float:
-    """Window-truncation surrogate for the limit U: the alpha-energy of the
-    increment kernel outside [-half_width, half_width]."""
+    """Window-truncation surrogate for the limit U: the alpha-energy of r outside
+    [-half_width, half_width], |sin(s/2)|^alpha replaced by its mean E|cos|^alpha."""
     if half_width < 1.0:
         raise ParameterError(f"half_width must be at least 1, got {half_width}")
-    ah = p.alpha * p.hurst
-    return 2.0 * half_width ** (-ah) / ah
+    a, ah = p.alpha, p.alpha * p.hurst
+    cos_moment = math.gamma((a + 1.0) / 2.0) / (math.sqrt(math.pi) * math.gamma(a / 2.0 + 1.0))
+    return 2.0 ** (a + 1.0) * cos_moment * half_width ** (-ah) / ah
 
 
 def couple(

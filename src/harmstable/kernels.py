@@ -6,7 +6,8 @@ exponential ratios are evaluated through the half-angle rewrite
     (exp(ix) - 1) / (ix) = exp(ix/2) * sin(x/2) / (x/2)
 
 which is free of cancellation near x = 0 and carries its removable limit 1
-automatically.  All functions accept scalars or numpy arrays and broadcast.
+automatically, from one complex exponential h = exp(ix/2) per point.
+All functions accept scalars or numpy arrays and broadcast.
 """
 
 from __future__ import annotations
@@ -66,12 +67,6 @@ class ModelParams:
         return self.hurst > 0.5 and self.alpha * (1.0 - self.hurst) < 0.5
 
 
-def _half_angle_ratio(x: np.ndarray, sign: float) -> np.ndarray:
-    """exp(sign*ix/2) * sin(x/2)/(x/2), the stable form of (e^{s*ix}-1)/(s*ix)."""
-    sinc = np.sinc(x / TWO_PI)
-    return np.exp(sign * 0.5j * x) * sinc
-
-
 def _as_array(x) -> tuple[np.ndarray, bool]:
     arr = np.asarray(x, dtype=float)
     return arr, arr.ndim == 0
@@ -81,6 +76,27 @@ def _maybe_scalar(arr: np.ndarray, scalar: bool):
     return arr[()] if scalar else arr
 
 
+def half_angle_exp(s: np.ndarray) -> np.ndarray:
+    """h = exp(i s/2) of a real array, evaluated in its own complex buffer."""
+    h = np.multiply(s, 0.5j, out=np.empty(np.shape(s), dtype=complex))
+    return np.exp(h, out=h)
+
+
+def r_from_half_angle(s: np.ndarray, h: np.ndarray, gamma: float) -> np.ndarray:
+    """Overwrite h = exp(i s/2) with r(s) = conj(h) Im(h)/(s/2) |s|^gamma,
+    that is (1 - e^{-is})/(is) |s|^gamma, and return it. The zero rule is
+    kernel_r's."""
+    mag = np.abs(s)
+    at_zero = mag < ZERO_FLOOR
+    if gamma < 0.0 and at_zero.any():
+        raise SingularityError("kernel_r is singular at s = 0 for gamma < 0")
+    ratio = np.divide(h.imag, s, out=np.zeros(mag.shape), where=~at_zero)
+    ratio *= 2.0  # now Im(h)/(s/2) bit for bit, with no array for s/2
+    mag **= gamma
+    ratio *= mag
+    return np.multiply(np.conjugate(h, out=h), ratio, out=h)
+
+
 def kernel_r(s, p: ModelParams):
     """Frequency kernel of a unit-time increment: (1-e^{-is})/(is) * |s|^gamma.
 
@@ -88,17 +104,7 @@ def kernel_r(s, p: ModelParams):
     the convention at gamma == 0); for gamma < 0 it raises SingularityError.
     """
     arr, scalar = _as_array(s)
-    gamma = p.gamma
-    at_zero = np.abs(arr) < ZERO_FLOOR
-    if np.any(at_zero):
-        if gamma < 0.0:
-            raise SingularityError("kernel_r is singular at s = 0 for gamma < 0")
-        out = np.zeros(arr.shape, dtype=complex)
-        ok = ~at_zero
-        sv = arr[ok]
-        out[ok] = _half_angle_ratio(sv, -1.0) * np.abs(sv) ** gamma
-        return _maybe_scalar(out, scalar)
-    out = _half_angle_ratio(arr, -1.0) * np.abs(arr) ** gamma
+    out = r_from_half_angle(arr, half_angle_exp(arr), p.gamma)
     return _maybe_scalar(out, scalar)
 
 
@@ -155,7 +161,9 @@ def kernel_h(s, u, p: ModelParams):
         prod = np.abs(sv * uv)
         if gamma < 0.0 and np.any(prod < ZERO_FLOOR):
             raise SingularityError("kernel_h is singular on the axes for gamma < 0")
-        out[mask] = _half_angle_ratio(sv - uv, +1.0) * prod**gamma
+        # (e^{ix}-1)/(ix) is the conjugate of r's prefactor, r at gamma = 0
+        x = sv - uv
+        out[mask] = np.conj(r_from_half_angle(x, half_angle_exp(x), 0.0)) * prod**gamma
     return _maybe_scalar(out, s_scalar and u_scalar)
 
 

@@ -32,7 +32,6 @@ __all__ = [
     "build_jump_measure",
     "integrate",
     "integrate_qv",
-    "quadratic_variation",
     "double_integrate",
     "condition_value",
     "series_unit_scale",
@@ -183,11 +182,13 @@ def build_jump_measure(
     values = calibration * arrivals ** (-1.0 / alpha) * np.exp(1j * angles)
 
     for _ in range(64):
-        order = np.argsort(locations, kind="stable")
+        # untied, any sort gives the stable order; ties redraw by stable order
+        order = np.argsort(locations)
         ls = locations[order]
         dup = np.flatnonzero(np.diff(ls) == 0.0)
         if dup.size == 0:
             break
+        order = np.argsort(locations, kind="stable")
         offenders = order[dup + 1]
         log.warning(
             "resampling %d tied atom location(s) at %s",
@@ -241,14 +242,6 @@ def integrate_qv(jm: JumpMeasure, phi, check_nonnegative: bool = True) -> float:
         )
     weights = jm.values.real**2 + jm.values.imag**2
     return float(np.sum(vals * weights))
-
-
-def quadratic_variation(jm: JumpMeasure) -> float:
-    """Total pathwise quadratic variation sum_i |value_i|^2."""
-    if jm.n_terms == 0:
-        return 0.0
-    weights = jm.values.real**2 + jm.values.imag**2
-    return float(np.sum(weights))
 
 
 def double_integrate(jm: JumpMeasure, f) -> complex:

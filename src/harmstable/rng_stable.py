@@ -43,10 +43,6 @@ class RngStream:
         seq = np.random.SeedSequence([self.master_seed, self.stream_index])
         return np.random.Generator(np.random.Philox(seq))
 
-    def sibling(self, stream_index: int) -> "RngStream":
-        """Stream with the same master seed and a different index."""
-        return RngStream(self.master_seed, stream_index)
-
 
 def _check_stable_args(alpha: float, scale: float) -> None:
     if not (0.0 < alpha <= 2.0):

@@ -2,6 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# one profile for every property test: the same examples on every run and
+# no per-example deadline; each test sets only its max_examples
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 _CRITERIA: list[tuple[str, bool, str]] = []
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from harmstable import (
     ModelParams,
@@ -39,6 +41,29 @@ class TestModelParams:
             ModelParams(alpha, hurst)
 
 
+def r_oracle(s: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """r(s) = exp(-is/2) sin(s/2)/(s/2) |s|^gamma in extended precision, from
+    the exact half angle s/2."""
+    half = s.astype(np.longdouble) / 2
+    mod = np.sin(half) / half * np.abs(2 * half) ** np.longdouble(gamma)
+    return np.cos(half) * mod, -np.sin(half) * mod  # real and imaginary parts
+
+
+def _ulps_from(x: float, d: int) -> float:
+    for _ in range(abs(d)):
+        x = float(np.nextafter(x, math.inf if d > 0 else 0.0))
+    return x
+
+
+# |s| log-uniform over [1e-300, 1e6], or within 4 ulps of a multiple of
+# 2 pi up to 1e6, where sin(s/2) cancels
+MAGNITUDES = st.one_of(
+    st.floats(-300.0, 6.0).map(lambda e: 10.0**e),
+    st.builds(lambda k, d: _ulps_from(2.0 * math.pi * k, d),
+              st.integers(1, 159_154), st.integers(-4, 4)),
+)
+
+
 class TestKernelR:
     def test_matches_direct_formula_away_from_zero(self, rng):
         s = rng.uniform(0.05, 40.0, size=500) * rng.choice([-1.0, 1.0], size=500)
@@ -64,6 +89,25 @@ class TestKernelR:
 
     def test_scalar_in_scalar_out(self):
         assert np.isscalar(kernel_r(1.0, P)) or kernel_r(1.0, P).ndim == 0
+
+    @settings(max_examples=200)
+    @given(
+        mags=st.lists(MAGNITUDES, min_size=20, max_size=60),
+        signs=st.lists(st.booleans(), min_size=60, max_size=60),
+        alpha=st.floats(0.1, 1.99),
+        hurst=st.floats(0.02, 0.98),
+    )
+    @example(mags=[1e-300, 1.0, 2.0 * math.pi, 1e6], signs=[True] * 60, alpha=1.99, hurst=0.02)
+    @example(mags=[1e-300, 1.0, 2.0 * math.pi, 1e6], signs=[False] * 60, alpha=0.1, hurst=0.98)
+    def test_matches_extended_precision(self, mags, signs, alpha, hurst):
+        p = ModelParams(alpha, hurst)
+        s = np.array(mags) * np.where(signs[: len(mags)], 1.0, -1.0)
+        with np.errstate(over="ignore"):
+            s = s[np.isfinite(np.abs(s) ** p.gamma)]
+        re, im = r_oracle(s, p.gamma)
+        r = kernel_r(s, p)
+        err = np.hypot(r.real - re, r.imag - im) / np.hypot(re, im)
+        assert np.all(err <= 1e-14)
 
 
 class TestPhi:

@@ -29,10 +29,6 @@ class TestRngStream:
         b = RngStream(123, 1).generator.uniform(size=16)
         assert not np.array_equal(a, b)
 
-    def test_sibling(self):
-        s = RngStream(99, 4).sibling(11)
-        assert s == RngStream(99, 11)
-
     def test_rejects_negative_keys(self):
         with pytest.raises(ParameterError):
             RngStream(-1, 0)
