@@ -10,7 +10,6 @@ distributional limit of the rescaled error at desk scale.
 
 from .analysis import (
     ExperimentReport,
-    envelope_kernel,
     envelope_quadrature,
     identity_suite,
     iid_stable_qv_experiment,
@@ -28,17 +27,14 @@ from .errors import (
     SingularityError,
 )
 from .harmonizable import (
-    CoupledRealization,
-    couple,
     increments_from_csv,
     increments_to_csv,
     normalized_error,
     quadratic_statistic,
-    realization_to_json,
-    realized_rosenblatt,
     realized_U,
     rosenblatt_fast,
     simulate_increments,
+    t_nodes_for,
     tail_error_estimate,
 )
 from .kernels import (
@@ -76,7 +72,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError",
-    "CoupledRealization",
     "ExperimentReport",
     "HarmstableError",
     "JumpMeasure",
@@ -89,9 +84,7 @@ __all__ = [
     "axis_cells",
     "build_jump_measure",
     "condition_value",
-    "couple",
     "double_integrate",
-    "envelope_kernel",
     "envelope_quadrature",
     "gn_bound",
     "grid_integral_2d",
@@ -118,9 +111,7 @@ __all__ = [
     "psi",
     "psi_norm_constant",
     "quadratic_statistic",
-    "realization_to_json",
     "realized_U",
-    "realized_rosenblatt",
     "rosenblatt_fast",
     "run_clt_experiment",
     "run_lln_experiment",
@@ -128,5 +119,6 @@ __all__ = [
     "sample_sas",
     "series_unit_scale",
     "simulate_increments",
+    "t_nodes_for",
     "tail_error_estimate",
 ]

@@ -2,8 +2,8 @@
 
 Each runner draws independent realizations on per-replication random
 streams, aggregates them in stream-index order, and returns an
-ExperimentReport that is bit-reproducible from its config snapshot,
-regardless of how many worker threads executed the replication loop.
+ExperimentReport that is bit-reproducible from its arguments, regardless
+of how many worker threads executed the replication loop.
 """
 
 from __future__ import annotations
@@ -41,18 +41,15 @@ __all__ = [
     "ks_two_sample",
     "loglog_slope",
     "kernel_limit_check",
-    "envelope_kernel",
     "envelope_quadrature",
 ]
 
 
 @dataclass(frozen=True, eq=False)
 class ExperimentReport:
-    """Outcome of one experiment: config snapshot, per-n summaries, fitted
-    slope, KS distance and the raw (replication, n, value) samples."""
+    """Outcome of one experiment: per-n summaries, fitted slope, KS distance
+    and the raw (replication, n, value) samples."""
 
-    kind: str
-    config: dict
     per_n: tuple[dict, ...] = ()
     slope: float | None = None
     slope_stderr: float | None = None
@@ -200,7 +197,6 @@ def run_lln_experiment(
     replications: int,
     seed: int,
     threads: int = 0,
-    enforce_resolution: bool = True,
 ) -> ExperimentReport:
     """Coupled law-of-large-numbers check: per replication, simulate one
     realization and record |Q_n/n - U| at each n; summarize medians and fit
@@ -208,15 +204,12 @@ def run_lln_experiment(
 
     The slope is reported as None when any median error sits at rounding
     level relative to the statistic itself, since no decay rate is
-    measurable there (degenerate measures with very few atoms hit this).
-    enforce_resolution=False permits deliberately under-resolved diagnostic
-    runs."""
+    measurable there (degenerate measures with very few atoms hit this)."""
     ns = _check_n_list(n_list)
     if replications < 50:
         raise ParameterError(f"replications must be >= 50, got {replications}")
-    if enforce_resolution:
-        _check_resolution(max(ns), n_terms, half_width)
     n_max = max(ns)
+    _check_resolution(n_max, n_terms, half_width)
 
     def one(i: int) -> tuple[np.ndarray, np.ndarray]:
         rng = RngStream(master_seed=seed, stream_index=i)
@@ -255,19 +248,7 @@ def run_lln_experiment(
         q_slope, q_stderr = loglog_slope(zip(ns, q_medians))
         extras["q_slope"] = q_slope
         extras["q_slope_stderr"] = q_stderr
-
-    config = {
-        "alpha": p.alpha,
-        "hurst": p.hurst,
-        "half_width": float(half_width),
-        "n_terms": int(n_terms),
-        "n_list": [int(n) for n in ns],
-        "replications": int(replications),
-        "seed": int(seed),
-    }
     return ExperimentReport(
-        kind="lln",
-        config=config,
         per_n=tuple(per_n),
         slope=slope,
         slope_stderr=stderr,
@@ -284,13 +265,12 @@ def run_clt_experiment(
     replications: int,
     seed: int,
     threads: int = 0,
-    t_nodes: int | None = None,
 ) -> ExperimentReport:
     """Distributional check of the rescaled error: sample A collects
     n^(2-2H)(Q_n/n - U) on fresh realizations, sample B collects realized
     double-integral limits on independent fresh realizations, and the report
-    carries their two-sample KS distance. The limit draws use t_nodes
-    Gauss-Legendre nodes, t_nodes_for(half_width) unless given."""
+    carries their two-sample KS distance. The limit draws use
+    t_nodes_for(half_width) Gauss-Legendre nodes."""
     if not p.clt_regime:
         raise ConfigError(
             "normalized-error limit requires hurst > 1/2 and "
@@ -311,8 +291,7 @@ def run_clt_experiment(
     def one_limit(i: int) -> float:
         rng = RngStream(master_seed=seed, stream_index=replications + i)
         jm = build_jump_measure(p.alpha, half_width, n_terms, rng)
-        nodes = t_nodes_for(jm.half_width) if t_nodes is None else t_nodes
-        return rosenblatt_fast(jm, p, t_nodes=nodes)
+        return rosenblatt_fast(jm, p, t_nodes=t_nodes_for(jm.half_width))
 
     sample_a = np.array(_parallel_map(one_error, replications, threads))
     sample_b = np.array(_parallel_map(one_limit, replications, threads))
@@ -320,18 +299,7 @@ def run_clt_experiment(
 
     raw = [(i, int(n), float(v)) for i, v in enumerate(sample_a)]
     raw += [(replications + i, int(n), float(v)) for i, v in enumerate(sample_b)]
-    config = {
-        "alpha": p.alpha,
-        "hurst": p.hurst,
-        "half_width": float(half_width),
-        "n_terms": int(n_terms),
-        "n": int(n),
-        "replications": int(replications),
-        "seed": int(seed),
-    }
     return ExperimentReport(
-        kind="clt",
-        config=config,
         ks_distance=ks,
         raw=tuple(raw),
         extras={
@@ -380,16 +348,7 @@ def iid_stable_qv_experiment(
     medians = [row["median"] for row in per_n]
     if len(ns) >= 3 and all(m > 0.0 for m in medians):
         slope, stderr = loglog_slope(zip(ns, medians))
-
-    config = {
-        "alpha": float(alpha),
-        "n_list": [int(n) for n in ns],
-        "replications": int(replications),
-        "seed": int(seed),
-    }
     return ExperimentReport(
-        kind="iid",
-        config=config,
         per_n=tuple(per_n),
         slope=slope,
         slope_stderr=stderr,
@@ -521,35 +480,6 @@ def kernel_limit_check(s: float, u: float, p: ModelParams, n_list) -> np.ndarray
     return np.array(devs)
 
 
-def envelope_kernel(r1: float, r2: float, amplitude: float = 1.0):
-    """Two-variable power envelope |su|^(-r1) (near band + |s-u|^(-r2) far
-    part), supported on u < s; integrable over the plane iff r1 in (1/2, 1)
-    and 2 r1 + r2 > 2."""
-    if r1 <= 0.0 or r2 <= 0.0:
-        raise ParameterError(f"r1 and r2 must be positive, got r1={r1}, r2={r2}")
-
-    def f(s, u):
-        s = np.asarray(s, dtype=float)
-        u = np.asarray(u, dtype=float)
-        out = np.zeros(np.broadcast(s, u).shape)
-        if amplitude == 0.0:
-            return out
-        near = (u < s) & (u >= s - 1.0)
-        far = u < s - 1.0
-        for mask, factor in ((near, None), (far, r2)):
-            if not np.any(mask):
-                continue
-            sm = np.broadcast_to(s, mask.shape)[mask]
-            um = np.broadcast_to(u, mask.shape)[mask]
-            val = np.abs(sm * um) ** (-r1)
-            if factor is not None:
-                val = val * np.abs(sm - um) ** (-factor)
-            out[mask] += val
-        return amplitude * out
-
-    return f
-
-
 def _band_integral(s: float, r1: float, lam: float) -> float:
     """Exact inner integral of |u|^(-r1) over the width-1 band below s."""
     lo = max(s - 1.0, -lam)
@@ -565,7 +495,6 @@ def envelope_quadrature(
     r2: float,
     lam_list,
     quad: QuadratureSpec | None = None,
-    amplitude: float = 1.0,
 ) -> np.ndarray:
     """Integrals of the power envelope over growing windows [-L, L]^2.
 
@@ -589,9 +518,6 @@ def envelope_quadrature(
     base = quad if quad is not None else QuadratureSpec(cells_per_decade=16)
     values = []
     for lam in lams:
-        if amplitude == 0.0:
-            values.append(0.0)
-            continue
         outer = base.with_outer(lam)
         s_quad = QuadratureSpec(
             outer_cutoff=lam,
@@ -619,5 +545,5 @@ def envelope_quadrature(
                         (np.abs(um) ** (-r1) * np.abs(s - um) ** (-r2)) @ uw
                     )
             total += w * np.abs(s) ** (-r1) * inner
-        values.append(amplitude * total)
+        values.append(total)
     return np.array(values)

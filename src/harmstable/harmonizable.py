@@ -14,10 +14,8 @@ limit theorems can be checked distributionally across realizations.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -28,19 +26,15 @@ from .kernels import ModelParams, half_angle_exp, phi_qv, r_from_half_angle
 from .levy_model import JumpMeasure, integrate_qv
 
 __all__ = [
-    "CoupledRealization",
     "simulate_increments",
     "realized_U",
     "quadratic_statistic",
     "normalized_error",
-    "realized_rosenblatt",
     "rosenblatt_fast",
     "t_nodes_for",
     "tail_error_estimate",
-    "couple",
     "increments_to_csv",
     "increments_from_csv",
-    "realization_to_json",
 ]
 
 # atoms per block of the increment sum, which bounds its two power tables
@@ -49,22 +43,6 @@ _ATOM_BLOCK = 4096
 
 # Gauss-Legendre rules by node count; callers share the arrays and never write
 _leggauss = lru_cache(maxsize=16)(leggauss)
-
-
-@dataclass(frozen=True, eq=False)
-class CoupledRealization:
-    """Increments, realized limit U, partial quadratic statistics and
-    (optionally) the realized double-integral limit, all on shared atoms."""
-
-    params: ModelParams
-    increments: np.ndarray
-    u_realized: float
-    q_partial: tuple[tuple[int, float], ...]
-    rosenblatt: float | None = None
-    master_seed: int | None = None
-    stream_index: int | None = None
-    half_width: float | None = None
-    n_terms: int | None = None
 
 
 def simulate_increments(jm: JumpMeasure, n: int, p: ModelParams) -> np.ndarray:
@@ -128,11 +106,6 @@ def normalized_error(q_m: float, u_realized: float, m: int, p: ModelParams) -> f
     return float(m) ** (2.0 - 2.0 * p.hurst) * (q_m / m - u_realized)
 
 
-def realized_rosenblatt(jm: JumpMeasure, p: ModelParams) -> float:
-    """Realized double-integral limit: rosenblatt_fast at t_nodes_for(M) nodes."""
-    return rosenblatt_fast(jm, p, t_nodes=t_nodes_for(jm.half_width))
-
-
 def t_nodes_for(half_width: float) -> int:
     """Gauss-Legendre node count for |A(t)|^2 on [-M, M], whose bandwidth is
     at most 2M: the rule converges geometrically once it has about M nodes."""
@@ -192,33 +165,6 @@ def tail_error_estimate(p: ModelParams, half_width: float) -> float:
     return 2.0 ** (a + 1.0) * cos_moment * half_width ** (-ah) / ah
 
 
-def couple(
-    jm: JumpMeasure,
-    p: ModelParams,
-    n: int,
-    q_marks: tuple[int, ...] | None = None,
-    with_rosenblatt: bool = False,
-) -> CoupledRealization:
-    """Simulate increments and collect the coupled statistics of one path."""
-    marks = tuple(q_marks) if q_marks is not None else (n,)
-    if any(not (1 <= m <= n) for m in marks):
-        raise ParameterError(f"q_marks must lie in [1, {n}], got {marks}")
-    y = simulate_increments(jm, n, p)
-    q_partial = tuple((m, quadratic_statistic(y, m)) for m in marks)
-    ros = realized_rosenblatt(jm, p) if with_rosenblatt else None
-    return CoupledRealization(
-        params=p,
-        increments=y,
-        u_realized=realized_U(jm, p),
-        q_partial=q_partial,
-        rosenblatt=ros,
-        master_seed=jm.master_seed,
-        stream_index=jm.stream_index,
-        half_width=jm.half_width,
-        n_terms=jm.n_terms,
-    )
-
-
 def increments_to_csv(y: np.ndarray, dest) -> None:
     """Write the increments y as j, re, im rows (17 significant digits) to a
     path, or to an open text stream, which is left open."""
@@ -237,18 +183,3 @@ def increments_from_csv(path) -> np.ndarray:
         rows = rows[1:]
     return np.array([complex(float(r[1]), float(r[2])) for r in rows], dtype=complex)
 
-
-def realization_to_json(cr: CoupledRealization) -> str:
-    """Stable-format JSON of one coupled realization."""
-    obj = {
-        "seed": cr.master_seed,
-        "stream": cr.stream_index,
-        "alpha": cr.params.alpha,
-        "hurst": cr.params.hurst,
-        "M": cr.half_width,
-        "n_terms": cr.n_terms,
-        "u_realized": cr.u_realized,
-        "rosenblatt": cr.rosenblatt,
-        "q_partial": [[int(m), q] for m, q in cr.q_partial],
-    }
-    return json.dumps(obj)

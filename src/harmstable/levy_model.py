@@ -35,7 +35,6 @@ __all__ = [
     "double_integrate",
     "condition_value",
     "series_unit_scale",
-    "estimate_series_unit_scale",
     "jump_measure_to_csv",
     "jump_measure_from_csv",
 ]
@@ -227,18 +226,18 @@ def integrate(jm: JumpMeasure, f) -> complex:
     return complex(np.sum(vals * jm.values))
 
 
-def integrate_qv(jm: JumpMeasure, phi, check_nonnegative: bool = True) -> float:
+def integrate_qv(jm: JumpMeasure, phi) -> float:
     """Integral of phi against the pathwise quadratic variation measure:
     sum_i phi(s_i) * |value_i|^2."""
     if jm.n_terms == 0:
         return 0.0
     vals = np.asarray(phi(jm.locations), dtype=float)
     _eval_finite(vals, jm.locations, "quadratic-variation integrand")
-    if check_nonnegative and np.any(vals < 0.0):
+    if np.any(vals < 0.0):
         idx = int(np.argmax(vals < 0.0))
         raise ParameterError(
             f"quadratic-variation integrand is negative at location "
-            f"{jm.locations[idx]!r}; pass check_nonnegative=False for diagnostics"
+            f"{jm.locations[idx]!r}"
         )
     weights = jm.values.real**2 + jm.values.imag**2
     return float(np.sum(vals * weights))

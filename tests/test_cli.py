@@ -187,6 +187,10 @@ class TestBenchmarkTracer:
         tracer = tracing.Tracer()
         tracer.install()
         try:
+            # simulate --format json must pass rosenblatt_fast an explicit
+            # node count, which the tracer multiplies by the atom count
+            assert cli.main(["simulate", *SMALL_RUNS["simulate"]]) == 0
+            assert tracer.take()["harmonizable.rosenblatt_fast"][3] > 0
             for command in ("lln", "clt", "check-identities", "check-condition"):
                 assert cli.main([command, *SMALL_RUNS[command]]) == 0
         finally:
@@ -210,17 +214,30 @@ class TestMainExitCodes:
         assert rc == 2 and err.startswith("error:")
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv,config,key",
         [
-            ["simulate", "--half-width", "nan", "--n", "8", "--n-terms", "50"],
-            ["clt", "--half-width", "inf"],
+            (["simulate", "--half-width", "nan", "--n", "8", "--n-terms", "50"], None,
+             "half_width"),
+            (["clt", "--half-width", "inf"], None, "half_width"),
+            (["check-identities", "--tolerance", "nan"], None, "tolerance"),
+            (["check-condition", "--r1", "nan"], None, "r1"),
+            (["kernel-limit", "--pairs", "1,nan"], None, "pairs"),
+            (["check-condition", "--lambdas", "20,-inf"], None, "lambdas"),
+            # json.load reads a bare NaN, so a config file can carry one
+            (["lln"], '{"alpha": NaN}', "alpha"),
         ],
+        ids=["half_width-nan", "half_width-inf", "tolerance-nan", "r1-nan", "pairs-nan",
+             "lambdas-neginf", "config-alpha-nan"],
     )
-    def test_nonfinite_half_width_returns_2(self, capsys, argv):
+    def test_nonfinite_real_returns_2(self, capsys, tmp_path, argv, config, key):
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(config)
+            argv = [*argv, "--config", str(path)]
         rc, out, err = run_main(capsys, argv)
         assert rc == 2 and out == ""
         assert err.splitlines() == [err.rstrip("\n")]
-        assert err.startswith("error: half_width must be finite")
+        assert err.startswith(f"error: invalid {key} ")
 
     def test_simulate_beyond_resolution_limit_returns_2(self, capsys):
         rc, out, err = run_main(

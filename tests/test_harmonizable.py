@@ -1,7 +1,6 @@
 """Unit tests for coupled increments, Q_n, and the realized limit objects."""
 
 import io
-import json
 import math
 import tempfile
 from pathlib import Path
@@ -19,7 +18,6 @@ from harmstable import (
     RngStream,
     SingularityError,
     build_jump_measure,
-    couple,
     double_integrate,
     increments_from_csv,
     increments_to_csv,
@@ -29,14 +27,12 @@ from harmstable import (
     normalized_error,
     phi_qv,
     quadratic_statistic,
-    realization_to_json,
-    realized_rosenblatt,
     realized_U,
     rosenblatt_fast,
     simulate_increments,
+    t_nodes_for,
     tail_error_estimate,
 )
-from harmstable.harmonizable import t_nodes_for
 
 P = ModelParams(alpha=1.2, hurst=0.75)
 
@@ -115,16 +111,13 @@ class TestSimulateIncrements:
         np.testing.assert_array_equal(simulate_increments(empty, 5, P), np.zeros(5))
 
     def test_provenance_copied(self):
-        # the increments are a plain vector; the measure's provenance is
-        # copied onto the coupled realization that holds them
+        # the increments are a plain vector; the measure they came from
+        # carries the provenance
         jm = small_measure(1)
         y = simulate_increments(jm, 8, P)
         assert type(y) is np.ndarray and y.shape == (8,) and y.dtype == complex
-        cr = couple(jm, P, 8)
-        np.testing.assert_array_equal(cr.increments, y)
-        assert cr.master_seed == 31 and cr.stream_index == 1
-        assert cr.half_width == 10.0 and cr.n_terms == 400
-        assert cr.params == P
+        assert jm.master_seed == 31 and jm.stream_index == 1
+        assert jm.half_width == 10.0 and jm.n_terms == 400
 
     def test_deterministic(self):
         a = simulate_increments(small_measure(2), 32, P)
@@ -204,7 +197,7 @@ class TestRosenblatt:
     def test_degenerate_measures(self):
         empty = JumpMeasure(np.array([]), np.array([], complex), 1.2, 1.0, 1.0, 0)
         single = JumpMeasure(np.array([0.5]), np.array([1j]), 1.2, 1.0, 1.0, 1)
-        assert realized_rosenblatt(empty, P) == 0.0
+        assert rosenblatt_fast(empty, P) == 0.0
         assert rosenblatt_fast(single, P) == 0.0
 
     def test_atom_at_origin_rejected_for_negative_gamma(self):
@@ -218,8 +211,6 @@ class TestRosenblatt:
         )
         with pytest.raises(SingularityError):
             rosenblatt_fast(jm, P)
-        with pytest.raises(SingularityError):
-            realized_rosenblatt(jm, P)
 
     def test_rejects_too_few_nodes(self):
         with pytest.raises(ParameterError):
@@ -251,7 +242,6 @@ class TestNodeRule:
         scale = max(abs(refined), 1e-6 * diagonal_scale(jm, P))
         assert abs(value - refined) <= 1e-12 * scale
         assert value == rosenblatt_fast(jm, P, t_nodes=nodes)
-        assert value == realized_rosenblatt(jm, P)
 
     @pytest.mark.parametrize("t_nodes", [31, 40])
     def test_odd_and_even_counts_match_pair_sum(self, t_nodes):
@@ -318,31 +308,6 @@ class TestTailErrorEstimate:
             tail_error_estimate(P, 0.5)
 
 
-class TestCouple:
-    def test_collects_marks_and_limits(self):
-        jm = small_measure(10)
-        cr = couple(jm, P, 64, q_marks=(16, 64), with_rosenblatt=True)
-        y = simulate_increments(jm, 64, P)
-        assert cr.q_partial == (
-            (16, quadratic_statistic(y, 16)),
-            (64, quadratic_statistic(y, 64)),
-        )
-        assert cr.u_realized == realized_U(jm, P)
-        assert cr.rosenblatt == pytest.approx(realized_rosenblatt(jm, P))
-        assert cr.master_seed == 31 and cr.stream_index == 10
-
-    def test_default_mark_is_n(self):
-        cr = couple(small_measure(11), P, 32)
-        assert [m for m, _ in cr.q_partial] == [32]
-        assert cr.rosenblatt is None
-
-    def test_rejects_bad_marks(self):
-        with pytest.raises(ParameterError):
-            couple(small_measure(11), P, 32, q_marks=(0,))
-        with pytest.raises(ParameterError):
-            couple(small_measure(11), P, 32, q_marks=(64,))
-
-
 class TestSerialization:
     def test_increments_csv_round_trip(self, tmp_path):
         y = simulate_increments(small_measure(12), 48, P)
@@ -375,17 +340,3 @@ class TestSerialization:
         assert back.dtype == complex
         np.testing.assert_array_equal(bits(back), bits(y))
 
-    def test_realization_json(self):
-        jm = small_measure(13)
-        cr = couple(jm, P, 16, q_marks=(8, 16), with_rosenblatt=True)
-        obj = json.loads(realization_to_json(cr))
-        assert obj["seed"] == 31 and obj["stream"] == 13
-        assert obj["alpha"] == 1.2 and obj["hurst"] == 0.75
-        assert obj["M"] == 10.0 and obj["n_terms"] == 400
-        assert obj["u_realized"] == cr.u_realized
-        assert obj["rosenblatt"] == cr.rosenblatt
-        assert obj["q_partial"] == [[8, cr.q_partial[0][1]], [16, cr.q_partial[1][1]]]
-
-    def test_realization_json_null_rosenblatt(self):
-        cr = couple(small_measure(14), P, 8)
-        assert json.loads(realization_to_json(cr))["rosenblatt"] is None

@@ -298,8 +298,6 @@ class TestPathwiseIntegrals:
     def test_negative_qv_integrand_rejected(self):
         with pytest.raises(ParameterError):
             integrate_qv(three_atoms(), lambda s: s)
-        val = integrate_qv(three_atoms(), lambda s: s, check_nonnegative=False)
-        assert val == pytest.approx(-4.75)
 
 
 class TestConditionValue:
