@@ -37,7 +37,7 @@ from .harmonizable import (
     simulate_increments,
     t_nodes_for,
 )
-from .kernels import ModelParams, kernel_h, psi
+from .kernels import ModelParams, kernel_h
 from .levy_model import build_jump_measure, condition_value
 from .quadrature import QuadratureSpec
 from .rng_stable import RngStream
@@ -85,7 +85,6 @@ _DEFAULTS: dict[str, dict] = {
         "lambdas": (50.0, 100.0),
         "r1": 0.7,
         "r2": 1.2,
-        "format": "json",
     },
     "check-identities": {
         "trials": 100,
@@ -93,14 +92,12 @@ _DEFAULTS: dict[str, dict] = {
         "n_terms": 1000,
         "seed": 0,
         "tolerance": 1e-8,
-        "format": "json",
     },
     "kernel-limit": {
         "alpha": 1.2,
         "hurst": 0.75,
         "pairs": ((1.0, -0.5), (3.0, 1.0), (0.5, -2.0)),
         "n_list": (64, 256, 1024, 4096, 16384),
-        "format": "json",
     },
 }
 
@@ -277,6 +274,9 @@ def _validate(cfg: dict) -> None:
     half_width = cfg.get("half_width")
     if half_width is not None and half_width < 1.0:
         raise ConfigError(f"half_width must be at least 1, got {half_width}")
+    tolerance = cfg.get("tolerance")
+    if tolerance is not None and tolerance <= 0.0:
+        raise ConfigError(f"tolerance must be positive, got {tolerance}")
     if cfg["command"] == "clt":
         p = ModelParams(alpha=cfg["alpha"], hurst=cfg["hurst"])
         if not p.clt_regime:
@@ -450,18 +450,12 @@ def _cmd_iid(cfg: dict, started: float) -> int:
 
 
 def _cmd_check_condition(cfg: dict, started: float) -> int:
-    if cfg["format"] == "csv":
-        raise ConfigError("format csv is not supported for check-condition; use json")
     p = ModelParams(alpha=cfg["alpha"], hurst=cfg["hurst"])
     lams = cfg["lambdas"]
     if len(lams) < 2:
         raise ConfigError(f"lambdas needs at least two window sizes, got {lams}")
-    psi_fn = lambda s: psi(s, 2.0 / p.alpha, p.alpha)
     cond = [
-        condition_value(
-            lambda s, u: kernel_h(s, u, p), p.alpha, psi_fn,
-            QuadratureSpec(outer_cutoff=lam),
-        )
+        condition_value(lambda s, u: kernel_h(s, u, p), p.alpha, QuadratureSpec(outer_cutoff=lam))
         for lam in lams
     ]
     cond_growth = [abs(b / a - 1.0) for a, b in zip(cond, cond[1:])]
@@ -484,8 +478,6 @@ def _cmd_check_condition(cfg: dict, started: float) -> int:
 
 
 def _cmd_check_identities(cfg: dict, started: float) -> int:
-    if cfg["format"] == "csv":
-        raise ConfigError("format csv is not supported for check-identities; use json")
     results = identity_suite(
         trials=cfg["trials"],
         seed=cfg["seed"],
@@ -511,8 +503,6 @@ def _cmd_check_identities(cfg: dict, started: float) -> int:
 
 
 def _cmd_kernel_limit(cfg: dict, started: float) -> int:
-    if cfg["format"] == "csv":
-        raise ConfigError("format csv is not supported for kernel-limit; use json")
     p = ModelParams(alpha=cfg["alpha"], hurst=cfg["hurst"])
     n_list = cfg["n_list"]
     rows = []

@@ -34,7 +34,6 @@ __all__ = [
     "t_nodes_for",
     "tail_error_estimate",
     "increments_to_csv",
-    "increments_from_csv",
 ]
 
 # atoms per block of the increment sum, which bounds its two power tables
@@ -173,13 +172,3 @@ def increments_to_csv(y: np.ndarray, dest) -> None:
         writer.writerow(["j", "re", "im"])
         for j, v in enumerate(y):
             writer.writerow([j, format(v.real, ".17g"), format(v.imag, ".17g")])
-
-
-def increments_from_csv(path) -> np.ndarray:
-    """The increments written by increments_to_csv, as a complex vector."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if rows and rows[0] == ["j", "re", "im"]:
-        rows = rows[1:]
-    return np.array([complex(float(r[1]), float(r[2])) for r in rows], dtype=complex)
-

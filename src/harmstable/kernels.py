@@ -112,14 +112,17 @@ def kernel_gn(x, n: int):
     """Geometric sum of n unit-spaced complex exponentials at frequency x.
 
     Computed as the ratio form e^{i(n-1)y/2} * sin(ny/2)/sin(y/2) after
-    reducing x by its nearest multiple of 2*pi, expressed through sinc so the
-    removable limit n at multiples of 2*pi needs no special branch.
+    reducing x by its nearest multiple of 2*pi; the sines take their
+    arguments as they are, so the ratio keeps its relative accuracy next to
+    the zeros 2*pi*k/n, and y = 0 takes the removable limit n.
     """
     if n < 1:
         raise ParameterError(f"n must be a positive integer, got {n}")
     arr, scalar = _as_array(x)
     y = arr - TWO_PI * np.round(arr / TWO_PI)
-    ratio = n * np.sinc(n * y / TWO_PI) / np.sinc(y / TWO_PI)
+    den = np.sin(0.5 * y)
+    ratio = np.divide(np.sin(0.5 * n * y), den, out=np.full(y.shape, float(n)),
+                      where=den != 0.0)
     out = np.exp(0.5j * (n - 1) * y) * ratio
     return _maybe_scalar(out, scalar)
 

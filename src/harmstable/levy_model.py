@@ -14,7 +14,6 @@ algebraic identities between them hold exactly, not just in the limit.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 import threading
@@ -23,8 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, j0
 
-from .errors import ParameterError, QuadratureError, SingularityError
-from .quadrature import QuadratureSpec, grid_integral_2d, log_integral_1d
+from .errors import ParameterError, SingularityError
+from .kernels import psi
+from .quadrature import QuadratureSpec, grid_integral_2d
 from .rng_stable import RngStream, poisson_arrivals
 
 __all__ = [
@@ -35,8 +35,6 @@ __all__ = [
     "double_integrate",
     "condition_value",
     "series_unit_scale",
-    "jump_measure_to_csv",
-    "jump_measure_from_csv",
 ]
 
 log = logging.getLogger(__name__)
@@ -74,18 +72,12 @@ class JumpMeasure:
 
     locations: np.ndarray
     values: np.ndarray
-    alpha: float
     half_width: float
     calibration: float
-    n_terms: int
-    master_seed: int | None = None
-    stream_index: int | None = None
 
     def __post_init__(self) -> None:
         if self.locations.shape != self.values.shape or self.locations.ndim != 1:
             raise ParameterError("locations and values must be aligned 1-d arrays")
-        if self.n_terms != self.locations.size:
-            raise ParameterError("n_terms must equal the atom count")
         if self.locations.size and (
             np.any(np.diff(self.locations) <= 0.0)
             or abs(self.locations[0]) > self.half_width
@@ -94,6 +86,10 @@ class JumpMeasure:
             raise ParameterError(
                 "locations must be strictly increasing inside [-half_width, half_width]"
             )
+
+    @property
+    def n_terms(self) -> int:
+        return self.locations.size
 
 
 def series_unit_scale(alpha: float) -> float:
@@ -160,7 +156,6 @@ def build_jump_measure(
     half_width: float,
     n_terms: int,
     rng: RngStream,
-    calibration: float | None = None,
 ) -> JumpMeasure:
     """Draw one atomic realization of the noise on [-half_width, half_width]."""
     if not (0.0 < alpha < 2.0):
@@ -169,10 +164,7 @@ def build_jump_measure(
         raise ParameterError(f"half_width must be finite and positive, got {half_width}")
     if n_terms < 1:
         raise ParameterError(f"n_terms must be a positive integer, got {n_terms}")
-    if calibration is None:
-        calibration = (2.0 * half_width) ** (1.0 / alpha) / series_unit_scale(alpha)
-    if calibration <= 0.0:
-        raise ParameterError(f"calibration must be positive, got {calibration}")
+    calibration = (2.0 * half_width) ** (1.0 / alpha) / series_unit_scale(alpha)
 
     g = rng.generator
     locations = g.uniform(-half_width, half_width, n_terms)
@@ -198,16 +190,7 @@ def build_jump_measure(
     else:
         raise RuntimeError("could not resolve tied atom locations")
 
-    return JumpMeasure(
-        locations=ls,
-        values=values[order],
-        alpha=alpha,
-        half_width=half_width,
-        calibration=calibration,
-        n_terms=n_terms,
-        master_seed=rng.master_seed,
-        stream_index=rng.stream_index,
-    )
+    return JumpMeasure(ls, values[order], half_width, calibration)
 
 
 def _eval_finite(vals: np.ndarray, where: np.ndarray, what: str) -> None:
@@ -277,28 +260,21 @@ def double_integrate(jm: JumpMeasure, f) -> complex:
     return total
 
 
-def _check_psi_normalization(psi_fn, alpha: float) -> None:
-    norm = log_integral_1d(lambda s: np.asarray(psi_fn(s), dtype=float) ** alpha)
-    if abs(norm - 1.0) > 0.01:
-        raise ParameterError(
-            f"psi**alpha must integrate to 1 (within 1%), quadrature gives {norm!r}"
-        )
-
-
-def condition_value(f, alpha: float, psi_fn, quad: QuadratureSpec) -> float:
+def condition_value(f, alpha: float, quad: QuadratureSpec) -> float:
     """Existence functional of an arity-2 kernel:
-    the grid estimate of  integral of |f|^alpha * (1 + log_+(|f| / (psi(s) psi(u)))).
+    the grid estimate of  integral of |f|^alpha * (1 + log_+(|f| / (psi(s) psi(u)))),
+    with the reference envelope psi = kernels.psi(., 2/alpha, alpha), whose
+    alpha-th power integrates to 1 over the line.
 
     Monotone nondecreasing in the outer cutoff and under inner-cutoff
     refinement by powers of ten, by construction of the grid.
     """
     if not (0.0 < alpha <= 2.0):
         raise ParameterError(f"alpha must be in (0, 2], got {alpha}")
-    _check_psi_normalization(psi_fn, alpha)
 
     def integrand(s, u):
         fv = np.abs(np.asarray(f(s, u)))
-        env = np.asarray(psi_fn(s), dtype=float) * np.asarray(psi_fn(u), dtype=float)
+        env = psi(s, 2.0 / alpha, alpha) * psi(u, 2.0 / alpha, alpha)
         out = np.zeros(np.broadcast(s, u).shape)
         pos = fv > 0.0
         ratio = np.divide(fv, env, out=np.ones_like(out), where=pos)
@@ -306,48 +282,3 @@ def condition_value(f, alpha: float, psi_fn, quad: QuadratureSpec) -> float:
         return out
 
     return grid_integral_2d(integrand, quad, label="condition integrand")
-
-
-def jump_measure_to_csv(jm: JumpMeasure, path) -> None:
-    """Atom table as CSV (location, re, im) at 17 significant digits, with
-    the build metadata on a leading comment line."""
-    meta = (
-        f"# alpha={jm.alpha!r} half_width={jm.half_width!r} "
-        f"calibration={jm.calibration!r} n_terms={jm.n_terms} "
-        f"master_seed={jm.master_seed} stream_index={jm.stream_index}"
-    )
-    with open(path, "w", newline="") as fh:
-        fh.write(meta + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["location", "re", "im"])
-        for loc, val in zip(jm.locations, jm.values):
-            writer.writerow(
-                [format(loc, ".17g"), format(val.real, ".17g"), format(val.imag, ".17g")]
-            )
-
-
-def jump_measure_from_csv(path) -> JumpMeasure:
-    with open(path, newline="") as fh:
-        meta_line = fh.readline().strip()
-        if not meta_line.startswith("# "):
-            raise ParameterError(f"{path}: missing jump-measure metadata line")
-        meta = dict(item.split("=", 1) for item in meta_line[2:].split())
-        rows = list(csv.reader(fh))
-    if rows and rows[0] == ["location", "re", "im"]:
-        rows = rows[1:]
-    locations = np.array([float(r[0]) for r in rows])
-    values = np.array([complex(float(r[1]), float(r[2])) for r in rows], dtype=complex)
-
-    def opt_int(text: str) -> int | None:
-        return None if text == "None" else int(text)
-
-    return JumpMeasure(
-        locations=locations,
-        values=values,
-        alpha=float(meta["alpha"]),
-        half_width=float(meta["half_width"]),
-        calibration=float(meta["calibration"]),
-        n_terms=int(meta["n_terms"]),
-        master_seed=opt_int(meta["master_seed"]),
-        stream_index=opt_int(meta["stream_index"]),
-    )

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ParameterError, QuadratureError
 
-__all__ = ["QuadratureSpec", "axis_cells", "grid_integral_2d", "log_integral_1d"]
+__all__ = ["QuadratureSpec", "axis_cells", "grid_integral_2d"]
 
 
 @dataclass(frozen=True)
@@ -94,20 +94,3 @@ def grid_integral_2d(func, quad: QuadratureSpec, label: str = "integrand") -> fl
             )
         total += float(np.einsum("ij,i,j->", vals, w[i0:i1], w))
     return total
-
-
-def log_integral_1d(func, hi_cut: float = 1e12, lo_cut: float = 1e-10,
-                    cells_per_decade: int = 32) -> float:
-    """Symmetric 1-d integral of an even-decaying function over the line,
-    on a dense log grid; used for normalization self-checks."""
-    ratio = 10.0 ** (1.0 / cells_per_decade)
-    steps = int(np.ceil(np.log(hi_cut / lo_cut) / np.log(ratio))) + 1
-    edges = lo_cut * ratio ** np.arange(steps + 1)
-    edges = np.concatenate([[0.0], edges[edges <= hi_cut], [hi_cut]])
-    edges = np.unique(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    w = np.diff(edges)
-    vals = func(mid) + func(-mid)
-    if not np.all(np.isfinite(vals)):
-        raise QuadratureError("1-d normalization integrand is non-finite")
-    return float(vals @ w)

@@ -29,7 +29,6 @@ from harmstable import (
     kernel_r,
     ks_two_sample,
     phi_qv,
-    psi,
     run_clt_experiment,
     run_lln_experiment,
     sample_isotropic_stable,
@@ -214,14 +213,8 @@ def test_growth_contrast(criterion_recorder, lln_report):
 
 def test_existence_certifier(criterion_recorder):
     started = time.monotonic()
-    psi_fn = lambda s: psi(s, 2.0 / P.alpha, P.alpha)
     cond = [
-        condition_value(
-            lambda s, u: kernel_h(s, u, P),
-            P.alpha,
-            psi_fn,
-            QuadratureSpec(outer_cutoff=lam),
-        )
+        condition_value(lambda s, u: kernel_h(s, u, P), P.alpha, QuadratureSpec(outer_cutoff=lam))
         for lam in (50.0, 100.0)
     ]
     cond_growth = cond[1] / cond[0] - 1.0

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import dataclasses
 import importlib
 import json
 import os
@@ -17,7 +18,7 @@ except ModuleNotFoundError:  # Python < 3.11
     import tomli as tomllib
 
 import harmstable
-from harmstable import __version__, cli
+from harmstable import RngStream, __version__, build_jump_measure, cli
 from harmstable.cli import _DEFAULTS, main, parse_config
 from harmstable.errors import ConfigError
 
@@ -91,7 +92,8 @@ class TestParseConfig:
 
 
 # one or two flags per command that the command does not read; --n is a
-# prefix of --n-list and --n-terms, so it must not pass as either
+# prefix of --n-list and --n-terms, so it must not pass as either, and the
+# commands that write only JSON take no --format
 UNREAD_FLAGS = [
     ("simulate", "--reps", "replications", "5"),
     ("lln", "--n", "n", "8"),
@@ -103,6 +105,9 @@ UNREAD_FLAGS = [
     ("check-identities", "--n", "n", "5"),
     ("kernel-limit", "--seed", "seed", "3"),
     ("kernel-limit", "--n", "n", "5"),
+    ("check-condition", "--format", "format", "json"),
+    ("check-identities", "--format", "format", "json"),
+    ("kernel-limit", "--format", "format", "json"),
 ]
 
 # small runs of every command with a JSON report
@@ -208,10 +213,48 @@ class TestBenchmarkTracer:
         assert totals["levy_model.condition_value"][0] > 0
 
 
+class TestBenchmarkChecks:
+    def test_checks_accept_the_package_output(self, monkeypatch, capsys):
+        # the benchmark checks each round's output against its own sums on
+        # atoms it rebuilds with build_jump_measure and reads the measure's
+        # calibration, so a change to either breaks its rounds
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        checks = importlib.import_module("checks")
+        workloads = importlib.import_module("workloads")
+        seed = 3
+        small = {"alpha": 1.2, "half_width": 5.0, "n_terms": 2000}
+        lln = dict(workloads.LLN, **small, n_list=(16, 32, 64, 128))
+        clt = dict(workloads.CLT, **small, n=32)
+        flags = ["--alpha", "1.2", "--half-width", "5", "--n-terms", "2000",
+                 "--seed", str(seed), "--format", "csv"]
+
+        rc, out, _ = run_main(capsys, ["lln", *flags, "--n-list", "16,32,64,128",
+                                       "--reps", str(lln["replications"])])
+        assert rc == 0
+        assert checks.check_lln(out, lln, seed, [4, 31]) == []
+        rc, out, _ = run_main(capsys, ["clt", *flags, "--n", "32",
+                                       "--reps", str(clt["replications"])])
+        assert rc == 0
+        assert checks.check_clt(out, clt, seed, [0, 5], with_ks=True) == []
+
+        jm = build_jump_measure(1.2, 5.0, 2000, RngStream(seed, 0))
+        off = dataclasses.replace(jm, calibration=1.02 * jm.calibration)
+        assert len(checks.calibration_errors(off, lln)) == 1
+
+
 class TestMainExitCodes:
     def test_config_error_returns_2(self, capsys):
         rc, _, err = run_main(capsys, ["simulate", "--alpha", "2.5"])
         assert rc == 2 and err.startswith("error:")
+
+    @pytest.mark.parametrize("tolerance", ["-1", "0"])
+    def test_nonpositive_tolerance_returns_2(self, capsys, tolerance):
+        rc, out, err = run_main(
+            capsys, ["check-identities", "--trials", "1", "--n-terms", "50",
+                     "--tolerance", tolerance]
+        )
+        assert rc == 2 and out == ""
+        assert err == f"error: tolerance must be positive, got {float(tolerance)}\n"
 
     @pytest.mark.parametrize(
         "argv,config,key",

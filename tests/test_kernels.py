@@ -142,6 +142,21 @@ class TestKernelGn:
             for k in (-2, -1, 0, 1, 3):
                 assert kernel_gn(2.0 * math.pi * k, n) == pytest.approx(n, rel=1e-12)
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="long double is no wider than double here")
+    @pytest.mark.parametrize("n", [64, 1024, 16384])
+    def test_relative_accuracy_next_to_zeros(self, n):
+        # one ulp above each zero 2 pi k/n in (-pi, pi), that is above every
+        # zero of the 2 pi-periodic |g_n|; for n a power of two n x/2 is
+        # exact, so sin(n x/2)/sin(x/2) in long double at the same x is the
+        # reference
+        k = np.arange(1 - n // 2, n // 2)
+        x = np.nextafter(2.0 * math.pi * k / n, np.inf)
+        xl = x.astype(np.longdouble)
+        want = np.abs(np.sin(0.5 * n * xl) / np.sin(0.5 * xl))
+        got = np.abs(kernel_gn(x, n)).astype(np.longdouble)
+        assert float(np.max(np.abs(got / want - 1.0))) <= 1e-14
+
     def test_bound_holds(self, rng):
         x = rng.uniform(-50.0, 50.0, size=10000)
         for n in (3, 17, 256):

@@ -9,7 +9,6 @@ from harmstable import (
     QuadratureSpec,
     axis_cells,
     grid_integral_2d,
-    log_integral_1d,
 )
 
 
@@ -105,20 +104,3 @@ class TestGridIntegral2d:
 
         with pytest.raises(QuadratureError, match="blows up"):
             grid_integral_2d(bad, QuadratureSpec(), label="blows up here")
-
-
-class TestLogIntegral1d:
-    def test_gaussian(self):
-        got = log_integral_1d(lambda s: np.exp(-s * s), hi_cut=30.0,
-                              cells_per_decade=128)
-        assert got == pytest.approx(np.sqrt(np.pi), rel=1e-4)
-
-    def test_power_tail(self):
-        # 1/(1+|s|)^2 integrates to 2 over the line
-        got = log_integral_1d(lambda s: (1.0 + np.abs(s)) ** -2.0,
-                              cells_per_decade=128)
-        assert got == pytest.approx(2.0, rel=1e-4)
-
-    def test_nonfinite_raises(self):
-        with pytest.raises(QuadratureError):
-            log_integral_1d(lambda s: np.full(np.shape(s), np.nan))
