@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+TWO_PI_LO = 2.4492935982947064e-16  # 2 pi - TWO_PI, the part the double drops
 
 # Inputs with |s| below this are treated as exact zeros when the zero limit
 # exists; smaller magnitudes would overflow |s|**gamma for gamma < 0 anyway.
@@ -112,17 +113,20 @@ def kernel_gn(x, n: int):
     """Geometric sum of n unit-spaced complex exponentials at frequency x.
 
     Computed as the ratio form e^{i(n-1)y/2} * sin(ny/2)/sin(y/2) after
-    reducing x by its nearest multiple of 2*pi; the sines take their
-    arguments as they are, so the ratio keeps its relative accuracy next to
-    the zeros 2*pi*k/n, and y = 0 takes the removable limit n.
+    reducing x by its nearest multiple k of 2*pi in two parts, y = x - k*TWO_PI
+    (exact for |x| < 4 pi) and -k*TWO_PI_LO, the first-order correction each
+    sine takes, so the ratio keeps its relative accuracy next to the zeros
+    2*pi*k/n; a zero denominator takes the removable limit n.
     """
     if n < 1:
         raise ParameterError(f"n must be a positive integer, got {n}")
     arr, scalar = _as_array(x)
-    y = arr - TWO_PI * np.round(arr / TWO_PI)
-    den = np.sin(0.5 * y)
-    ratio = np.divide(np.sin(0.5 * n * y), den, out=np.full(y.shape, float(n)),
-                      where=den != 0.0)
+    k = np.round(arr / TWO_PI)
+    y = arr - TWO_PI * k
+    half_lo = -0.5 * TWO_PI_LO * k
+    num = np.sin(0.5 * n * y) + n * half_lo * np.cos(0.5 * n * y)
+    den = np.sin(0.5 * y) + half_lo * np.cos(0.5 * y)
+    ratio = np.divide(num, den, out=np.full(y.shape, float(n)), where=den != 0.0)
     out = np.exp(0.5j * (n - 1) * y) * ratio
     return _maybe_scalar(out, scalar)
 

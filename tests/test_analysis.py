@@ -3,7 +3,6 @@
 import math
 import sys
 import threading
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from harmstable import analysis, levy_model
+from harmstable import analysis
 from harmstable import (
     ConfigError,
     ModelParams,
@@ -192,12 +191,8 @@ class TestIdentitySuite:
     @example(alpha=0.1, hurst=0.02, n=63, seed=0)
     @example(alpha=1.99, hurst=0.98, n=65, seed=0)
     def test_identities_hold_across_parameter_space(self, alpha, hurst, n, seed):
-        # the residuals are relative, so a common positive scale of the
-        # atoms cancels; a unit scale skips the series-scale estimate that
-        # an alpha outside the frozen table would otherwise trigger
-        with mock.patch.object(levy_model, "series_unit_scale", lambda a: 1.0):
-            out = identity_suite(1, seed, alphas=(alpha,), hurst=hurst, n_terms=300,
-                                 n_increments=n, threads=1)
+        out = identity_suite(1, seed, alphas=(alpha,), hurst=hurst, n_terms=300,
+                             n_increments=n, threads=1)
         assert out["max_square_decomposition_residual"] <= 1e-10
         assert out["max_error_representation_residual"] <= 1e-10
 

@@ -33,6 +33,15 @@ LLN_ARGS = [
 ]
 
 
+def package_env() -> dict:
+    """The environment with this checkout's package first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE_ROOT), env.get("PYTHONPATH")])
+    )
+    return env
+
+
 def run_main(capsys, argv):
     rc = main(argv)
     captured = capsys.readouterr()
@@ -475,10 +484,7 @@ class TestConsoleScript:
 
         module, attr = target.split(":")
         wrapper = f"import sys; from {module} import {attr}; sys.exit({attr}())"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(PACKAGE_ROOT), env.get("PYTHONPATH")])
-        )
+        env = package_env()
         commands = [[sys.executable, "-c", wrapper, "--version"]]
         installed = shutil.which("harmstable")
         if installed is not None:
@@ -487,6 +493,18 @@ class TestConsoleScript:
             proc = subprocess.run(command, capture_output=True, text=True, env=env)
             assert proc.returncode == 0, proc.stderr
             assert proc.stdout == f"harmstable {__version__}\n"
+
+    def test_import_loads_no_scipy(self):
+        # scipy costs most of the import time; only the Monte Carlo
+        # cross-checks of the series scale may load it, on first call
+        probe = (
+            "import sys, harmstable.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, env=package_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_module_runs_end_to_end(self, tmp_path):
         path = tmp_path / "out.json"

@@ -129,6 +129,17 @@ class TestPhi:
             phi_qv(np.array([1.0, 0.0]), ModelParams(1.8, 0.2))
 
 
+def worst_rel_error_above_zeros(n: int, k: np.ndarray) -> float:
+    """Worst relative error of |kernel_gn| one ulp above each 2 pi k/n; for n
+    a power of two n x/2 is exact, so sin(n x/2)/sin(x/2) in long double at
+    the same x is the reference."""
+    x = np.nextafter(2.0 * math.pi * k / n, np.inf)
+    xl = x.astype(np.longdouble)
+    want = np.abs(np.sin(0.5 * n * xl) / np.sin(0.5 * xl))
+    got = np.abs(kernel_gn(x, n)).astype(np.longdouble)
+    return float(np.max(np.abs(got / want - 1.0)))
+
+
 class TestKernelGn:
     def test_matches_direct_geometric_sum(self, rng):
         for n in (1, 2, 7, 64, 513):
@@ -147,15 +158,17 @@ class TestKernelGn:
     @pytest.mark.parametrize("n", [64, 1024, 16384])
     def test_relative_accuracy_next_to_zeros(self, n):
         # one ulp above each zero 2 pi k/n in (-pi, pi), that is above every
-        # zero of the 2 pi-periodic |g_n|; for n a power of two n x/2 is
-        # exact, so sin(n x/2)/sin(x/2) in long double at the same x is the
-        # reference
-        k = np.arange(1 - n // 2, n // 2)
-        x = np.nextafter(2.0 * math.pi * k / n, np.inf)
-        xl = x.astype(np.longdouble)
-        want = np.abs(np.sin(0.5 * n * xl) / np.sin(0.5 * xl))
-        got = np.abs(kernel_gn(x, n)).astype(np.longdouble)
-        assert float(np.max(np.abs(got / want - 1.0))) <= 1e-14
+        # zero of the 2 pi-periodic |g_n|
+        assert worst_rel_error_above_zeros(n, np.arange(1 - n // 2, n // 2)) <= 1e-14
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="long double is no wider than double here")
+    @pytest.mark.parametrize("n", [64, 1024, 16384])
+    def test_relative_accuracy_next_to_zeros_past_pi(self, n):
+        # the same, one and two periods out, x in [pi, 4 pi): the reduction
+        # by the double 2 pi must carry the part of 2 pi it drops
+        k = np.arange(n // 2, 2 * n)
+        assert worst_rel_error_above_zeros(n, k[k != n]) <= 1e-14
 
     def test_bound_holds(self, rng):
         x = rng.uniform(-50.0, 50.0, size=10000)
