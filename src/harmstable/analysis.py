@@ -47,14 +47,14 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class ExperimentReport:
-    """Outcome of one experiment: per-n summaries, fitted slope, KS distance
-    and the raw (replication, n, value) samples."""
+    """Outcome of one experiment: the samples (one row per replication, one
+    column per n), per-n summaries, fitted slope and KS distance."""
 
+    samples: np.ndarray
     per_n: tuple[dict, ...] = ()
     slope: float | None = None
     slope_stderr: float | None = None
     ks_distance: float | None = None
-    raw: tuple[tuple[int, int, float], ...] = ()
     extras: dict = field(default_factory=dict)
 
     def results_dict(self) -> dict:
@@ -154,6 +154,19 @@ def _check_n_list(n_list) -> tuple[int, ...]:
     return ns
 
 
+def _quartiles(samples: np.ndarray, ns) -> tuple[dict, ...]:
+    """Median and quartiles of each column of samples, one row per n."""
+    return tuple(
+        {
+            "n": int(n),
+            "median": float(np.median(col)),
+            "q25": float(np.quantile(col, 0.25)),
+            "q75": float(np.quantile(col, 0.75)),
+        }
+        for n, col in zip(ns, samples.T)
+    )
+
+
 def ks_two_sample(a, b) -> float:
     """Two-sample Kolmogorov-Smirnov distance: the sup gap between the two
     empirical distribution functions."""
@@ -223,20 +236,7 @@ def run_lln_experiment(
     errors = np.vstack([r[0] for r in results])
     qstats = np.vstack([r[1] for r in results])
 
-    per_n = []
-    raw = []
-    for k, n in enumerate(ns):
-        col = errors[:, k]
-        per_n.append(
-            {
-                "n": int(n),
-                "median": float(np.median(col)),
-                "q25": float(np.quantile(col, 0.25)),
-                "q75": float(np.quantile(col, 0.75)),
-            }
-        )
-        raw.extend((i, int(n), float(col[i])) for i in range(replications))
-
+    per_n = _quartiles(errors, ns)
     medians = [row["median"] for row in per_n]
     q_medians = [float(np.median(qstats[:, k])) for k in range(len(ns))]
     floors = [1e-12 * q / n for q, n in zip(q_medians, ns)]
@@ -249,11 +249,7 @@ def run_lln_experiment(
         extras["q_slope"] = q_slope
         extras["q_slope_stderr"] = q_stderr
     return ExperimentReport(
-        per_n=tuple(per_n),
-        slope=slope,
-        slope_stderr=stderr,
-        raw=tuple(raw),
-        extras=extras,
+        samples=errors, per_n=per_n, slope=slope, slope_stderr=stderr, extras=extras
     )
 
 
@@ -269,8 +265,9 @@ def run_clt_experiment(
     """Distributional check of the rescaled error: sample A collects
     n^(2-2H)(Q_n/n - U) on fresh realizations, sample B collects realized
     double-integral limits on independent fresh realizations, and the report
-    carries their two-sample KS distance. The limit draws use
-    t_nodes_for(half_width) Gauss-Legendre nodes."""
+    carries their two-sample KS distance and, as its one sample column, A
+    followed by B. The limit draws use t_nodes_for(half_width)
+    Gauss-Legendre nodes."""
     if not p.clt_regime:
         raise ConfigError(
             "normalized-error limit requires hurst > 1/2 and "
@@ -295,17 +292,9 @@ def run_clt_experiment(
 
     sample_a = np.array(_parallel_map(one_error, replications, threads))
     sample_b = np.array(_parallel_map(one_limit, replications, threads))
-    ks = ks_two_sample(sample_a, sample_b)
-
-    raw = [(i, int(n), float(v)) for i, v in enumerate(sample_a)]
-    raw += [(replications + i, int(n), float(v)) for i, v in enumerate(sample_b)]
     return ExperimentReport(
-        ks_distance=ks,
-        raw=tuple(raw),
-        extras={
-            "normalized_errors": sample_a.tolist(),
-            "limit_draws": sample_b.tolist(),
-        },
+        samples=np.concatenate((sample_a, sample_b))[:, None],
+        ks_distance=ks_two_sample(sample_a, sample_b),
     )
 
 
@@ -330,30 +319,12 @@ def iid_stable_qv_experiment(
         return csum[np.array(ns) - 1]
 
     qmat = np.vstack(_parallel_map(one, replications, threads))
-    per_n = []
-    raw = []
-    for k, n in enumerate(ns):
-        col = qmat[:, k]
-        per_n.append(
-            {
-                "n": int(n),
-                "median": float(np.median(col)),
-                "q25": float(np.quantile(col, 0.25)),
-                "q75": float(np.quantile(col, 0.75)),
-            }
-        )
-        raw.extend((i, int(n), float(col[i])) for i in range(replications))
-
+    per_n = _quartiles(qmat, ns)
     slope = stderr = None
     medians = [row["median"] for row in per_n]
     if len(ns) >= 3 and all(m > 0.0 for m in medians):
         slope, stderr = loglog_slope(zip(ns, medians))
-    return ExperimentReport(
-        per_n=tuple(per_n),
-        slope=slope,
-        slope_stderr=stderr,
-        raw=tuple(raw),
-    )
+    return ExperimentReport(samples=qmat, per_n=per_n, slope=slope, slope_stderr=stderr)
 
 
 def identity_suite(

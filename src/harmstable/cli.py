@@ -1,10 +1,10 @@
 """Batch command-line front end.
 
-Commands dispatch to the experiment runners and write JSON reports or CSV
-data files. Reports embed the fully resolved config and are byte-identical
-for identical configs and seeds, regardless of --threads; wall-clock time
-is printed to the console only and serialized as null so artifacts stay
-reproducible.
+Each command calls the library and writes one artifact, a JSON report or a
+CSV data file; this module alone fixes their layouts. Reports embed the
+fully resolved config and are byte-identical for identical configs and
+seeds, regardless of --threads; wall-clock time is printed to the console
+only and serialized as null so artifacts stay reproducible.
 """
 
 from __future__ import annotations
@@ -13,8 +13,10 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import time
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -30,7 +32,6 @@ from .analysis import (
 )
 from .errors import ConfigError, HarmstableError
 from .harmonizable import (
-    increments_to_csv,
     quadratic_statistic,
     realized_U,
     rosenblatt_fast,
@@ -41,66 +42,6 @@ from .kernels import ModelParams, kernel_h
 from .levy_model import build_jump_measure, condition_value
 from .quadrature import QuadratureSpec
 from .rng_stable import RngStream
-
-_DEFAULTS: dict[str, dict] = {
-    "simulate": {
-        "alpha": 1.2,
-        "hurst": 0.75,
-        "half_width": 50.0,
-        "n_terms": 100000,
-        "n": 256,
-        "seed": 0,
-        "format": "csv",
-    },
-    "lln": {
-        "alpha": 1.2,
-        "hurst": 0.75,
-        "half_width": 50.0,
-        "n_terms": 100000,
-        "n_list": (64, 128, 256, 512),
-        "replications": 200,
-        "seed": 0,
-        "format": "json",
-    },
-    "clt": {
-        "alpha": 1.2,
-        "hurst": 0.75,
-        "half_width": 20.0,
-        "n_terms": 100000,
-        "n": 256,
-        "replications": 500,
-        "seed": 0,
-        "format": "json",
-    },
-    "iid": {
-        "alpha": 1.5,
-        "n_list": (64, 128, 256, 512, 1024, 2048, 4096),
-        "replications": 200,
-        "seed": 0,
-        "format": "json",
-    },
-    "check-condition": {
-        "alpha": 1.2,
-        "hurst": 0.75,
-        "lambdas": (50.0, 100.0),
-        "r1": 0.7,
-        "r2": 1.2,
-    },
-    "check-identities": {
-        "trials": 100,
-        "half_width": 10.0,
-        "n_terms": 1000,
-        "seed": 0,
-        "tolerance": 1e-8,
-    },
-    "kernel-limit": {
-        "alpha": 1.2,
-        "hurst": 0.75,
-        "pairs": ((1.0, -0.5), (3.0, 1.0), (0.5, -2.0)),
-        "n_list": (64, 256, 1024, 4096, 16384),
-    },
-}
-
 
 def _integer(value) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
@@ -161,8 +102,8 @@ def _text(value) -> str:
 
 
 # config key -> (flag, converter, help). A command takes the flags of the
-# keys in its _DEFAULTS entry plus threads and out; flag and config-file
-# values go through the same converter.
+# keys in its defaults plus threads and out; flag and config-file values go
+# through the same converter.
 _FIELDS = {
     "alpha": ("--alpha", _real, "stability index in (0, 2); (0, 2] for iid"),
     "hurst": ("--hurst", _real, "self-similarity index in (0, 1)"),
@@ -194,20 +135,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    helps = {
-        "simulate": "simulate one coupled realization and emit its increments",
-        "lln": "median |Q_n/n - U| decay across n with log-log slope",
-        "clt": "KS comparison of rescaled errors against limit draws",
-        "iid": "contrast run: quadratic variation of iid isotropic stable draws",
-        "check-condition": "window-stability certificates for the double-integral existence functional",
-        "check-identities": "exact pathwise identity sweep on random atomic measures",
-        "kernel-limit": "deterministic rescaled-kernel convergence check",
-    }
-    for name, help_text in helps.items():
+    for name, (handler, defaults) in _COMMANDS.items():
         # no prefix matching, so an unread --n is not taken for --n-list
-        sp = sub.add_parser(name, help=help_text, allow_abbrev=False,
+        sp = sub.add_parser(name, help=handler.__doc__, allow_abbrev=False,
                             argument_default=argparse.SUPPRESS)
-        for key in (*_DEFAULTS[name], "threads", "out"):
+        for key in (*defaults, "threads", "out"):
             flag, _, field_help = _FIELDS[key]
             sp.add_argument(flag, dest=key, help=field_help)
         sp.add_argument("--config", help="JSON config file; explicit flags win")
@@ -244,7 +176,7 @@ def parse_config(argv) -> dict:
     given = vars(build_parser().parse_args(argv))
     command = given.pop("command")
     path = given.pop("config", None)
-    cfg = {**_DEFAULTS[command], "threads": 0, "out": None}
+    cfg = {**_COMMANDS[command][1], "threads": 0, "out": None}
     values = _load_config_file(path) if path is not None else {}
     for key in values:
         if key not in cfg:
@@ -306,12 +238,6 @@ def _clean(value):
     return value
 
 
-def _announce(cfg: dict, text: str) -> None:
-    """One-line console summary; goes to stderr whenever stdout carries the
-    artifact itself, so piped output stays parseable."""
-    print(text, file=sys.stdout if cfg.get("out") else sys.stderr)
-
-
 def _emit_json(cfg: dict, kind: str, results: dict) -> None:
     report = {
         "kind": kind,
@@ -320,57 +246,64 @@ def _emit_json(cfg: dict, kind: str, results: dict) -> None:
         "runtime_seconds": None,
         "version": __version__,
     }
-    text = json.dumps(report, indent=2) + "\n"
-    out = cfg.get("out")
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with open(cfg["out"], "w") if cfg["out"] else nullcontext(sys.stdout) as fh:
+        fh.write(json.dumps(report, indent=2) + "\n")
 
 
-def _write_samples_csv(path_or_stdout, raw) -> None:
-    def write(fh):
+def _write_csv(dest, header, rows) -> None:
+    """Write a header row and rows to the path dest, or to stdout without
+    one; floats take 17 significant digits, so they read back exactly."""
+    with open(dest, "w", newline="") if dest else nullcontext(sys.stdout) as fh:
         writer = csv.writer(fh)
-        writer.writerow(["replication", "n", "value"])
-        for rep, n, value in raw:
-            writer.writerow([rep, n, format(value, ".17g")])
-
-    if path_or_stdout:
-        with open(path_or_stdout, "w", newline="") as fh:
-            write(fh)
-    else:
-        write(sys.stdout)
+        writer.writerow(header)
+        writer.writerows(
+            [format(v, ".17g") if isinstance(v, float) else v for v in row] for row in rows
+        )
 
 
-def _write_ecdf_csv(path, sample) -> None:
-    xs = np.sort(np.asarray(sample, dtype=float))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "F"])
-        for i, x in enumerate(xs):
-            writer.writerow([format(x, ".17g"), format((i + 1) / xs.size, ".17g")])
+def _emit_samples(cfg: dict, kind: str, report, ns) -> None:
+    """The JSON report, or the samples as replication, n, value rows, n-major."""
+    if cfg["format"] == "json":
+        _emit_json(cfg, kind, report.results_dict())
+        return
+    columns = report.samples.T.tolist()
+    _write_csv(cfg["out"], ["replication", "n", "value"],
+               ([i, n, v] for n, col in zip(ns, columns) for i, v in enumerate(col)))
 
 
 def _sidecar(path: str, suffix: str) -> str:
-    stem, dot, ext = path.rpartition(".")
-    if not dot:
-        return f"{path}{suffix}.csv"
-    return f"{stem}{suffix}.{ext}"
+    """path with suffix added to its file name, keeping its extension or
+    taking .csv."""
+    root, ext = os.path.splitext(path)
+    return f"{root}{suffix}{ext or '.csv'}"
 
 
-def _cmd_simulate(cfg: dict, started: float) -> int:
+# command -> (handler, defaults); a handler's docstring is its help line, and
+# it returns its exit code and one-line console summary
+_COMMANDS: dict[str, tuple] = {}
+
+
+def _command(name: str, **defaults):
+    def register(handler):
+        _COMMANDS[name] = (handler, defaults)
+        return handler
+    return register
+
+
+@_command("simulate", alpha=1.2, hurst=0.75, half_width=50.0, n_terms=100000, n=256, seed=0,
+          format="csv")
+def _simulate(cfg: dict) -> tuple[int, str]:
+    """simulate one coupled realization and emit its increments"""
     p = ModelParams(alpha=cfg["alpha"], hurst=cfg["hurst"])
     n = cfg["n"]
     _check_resolution(n, cfg["n_terms"], cfg["half_width"])
     rng = RngStream(master_seed=cfg["seed"], stream_index=0)
     jm = build_jump_measure(p.alpha, cfg["half_width"], cfg["n_terms"], rng)
-    if cfg["format"] == "csv":
-        increments_to_csv(simulate_increments(jm, n, p), cfg.get("out") or sys.stdout)
-        _announce(cfg, f"simulate: n={n} atoms={jm.n_terms} "
-                       f"(runtime {time.time() - started:.2f}s)")
-        return 0
     y = simulate_increments(jm, n, p)
+    summary = f"simulate: n={n} atoms={jm.n_terms}"
+    if cfg["format"] == "csv":
+        _write_csv(cfg["out"], ["j", "re", "im"], ([j, v.real, v.imag] for j, v in enumerate(y)))
+        return 0, summary
     u = realized_U(jm, p)
     results = {
         "u_realized": u,
@@ -379,13 +312,13 @@ def _cmd_simulate(cfg: dict, started: float) -> int:
         "increments": [[v.real, v.imag] for v in y],
     }
     _emit_json(cfg, "simulate", results)
-    _announce(cfg, f"simulate: n={n} atoms={jm.n_terms} "
-                   f"u_realized={u:.6g} "
-                   f"(runtime {time.time() - started:.2f}s)")
-    return 0
+    return 0, f"{summary} u_realized={u:.6g}"
 
 
-def _cmd_lln(cfg: dict, started: float) -> int:
+@_command("lln", alpha=1.2, hurst=0.75, half_width=50.0, n_terms=100000,
+          n_list=(64, 128, 256, 512), replications=200, seed=0, format="json")
+def _lln(cfg: dict) -> tuple[int, str]:
+    """median |Q_n/n - U| decay across n with log-log slope"""
     p = ModelParams(alpha=cfg["alpha"], hurst=cfg["hurst"])
     report = run_lln_experiment(
         p,
@@ -396,42 +329,41 @@ def _cmd_lln(cfg: dict, started: float) -> int:
         seed=cfg["seed"],
         threads=cfg["threads"],
     )
-    if cfg["format"] == "csv":
-        _write_samples_csv(cfg.get("out"), report.raw)
-    else:
-        _emit_json(cfg, "lln", report.results_dict())
+    _emit_samples(cfg, "lln", report, cfg["n_list"])
     slope = "undefined" if report.slope is None else f"{report.slope:.4f}"
-    _announce(cfg, f"lln: slope={slope} target={2.0 * p.hurst - 2.0:.4f} "
-                   f"reps={cfg['replications']} (runtime {time.time() - started:.2f}s)")
-    return 0
+    return 0, (f"lln: slope={slope} target={2.0 * p.hurst - 2.0:.4f} "
+               f"reps={cfg['replications']}")
 
 
-def _cmd_clt(cfg: dict, started: float) -> int:
+@_command("clt", alpha=1.2, hurst=0.75, half_width=20.0, n_terms=100000, n=256,
+          replications=500, seed=0, format="json")
+def _clt(cfg: dict) -> tuple[int, str]:
+    """KS comparison of rescaled errors against limit draws"""
     p = ModelParams(alpha=cfg["alpha"], hurst=cfg["hurst"])
+    reps = cfg["replications"]
     report = run_clt_experiment(
         p,
         half_width=cfg["half_width"],
         n_terms=cfg["n_terms"],
         n=cfg["n"],
-        replications=cfg["replications"],
+        replications=reps,
         seed=cfg["seed"],
         threads=cfg["threads"],
     )
-    if cfg["format"] == "csv":
-        out = cfg.get("out")
-        _write_samples_csv(out, report.raw)
-        if out:
-            _write_ecdf_csv(_sidecar(out, "_error_ecdf"), report.extras["normalized_errors"])
-            _write_ecdf_csv(_sidecar(out, "_limit_ecdf"), report.extras["limit_draws"])
-    else:
-        _emit_json(cfg, "clt", report.results_dict())
-    _announce(cfg, f"clt: ks_distance={report.ks_distance:.6f} "
-                   f"samples={cfg['replications']}+{cfg['replications']} "
-                   f"(runtime {time.time() - started:.2f}s)")
-    return 0
+    _emit_samples(cfg, "clt", report, (cfg["n"],))
+    if cfg["format"] == "csv" and cfg["out"]:
+        draws = report.samples[:, 0]
+        for suffix, sample in (("_error_ecdf", draws[:reps]), ("_limit_ecdf", draws[reps:])):
+            xs = np.sort(sample).tolist()
+            _write_csv(_sidecar(cfg["out"], suffix), ["x", "F"],
+                       ([x, (i + 1) / len(xs)] for i, x in enumerate(xs)))
+    return 0, f"clt: ks_distance={report.ks_distance:.6f} samples={reps}+{reps}"
 
 
-def _cmd_iid(cfg: dict, started: float) -> int:
+@_command("iid", alpha=1.5, n_list=(64, 128, 256, 512, 1024, 2048, 4096), replications=200,
+          seed=0, format="json")
+def _iid(cfg: dict) -> tuple[int, str]:
+    """contrast run: quadratic variation of iid isotropic stable draws"""
     report = iid_stable_qv_experiment(
         cfg["alpha"],
         n_list=cfg["n_list"],
@@ -439,17 +371,14 @@ def _cmd_iid(cfg: dict, started: float) -> int:
         seed=cfg["seed"],
         threads=cfg["threads"],
     )
-    if cfg["format"] == "csv":
-        _write_samples_csv(cfg.get("out"), report.raw)
-    else:
-        _emit_json(cfg, "iid", report.results_dict())
+    _emit_samples(cfg, "iid", report, cfg["n_list"])
     slope = "undefined" if report.slope is None else f"{report.slope:.4f}"
-    _announce(cfg, f"iid: slope={slope} target={2.0 / cfg['alpha']:.4f} "
-                   f"(runtime {time.time() - started:.2f}s)")
-    return 0
+    return 0, f"iid: slope={slope} target={2.0 / cfg['alpha']:.4f}"
 
 
-def _cmd_check_condition(cfg: dict, started: float) -> int:
+@_command("check-condition", alpha=1.2, hurst=0.75, lambdas=(50.0, 100.0), r1=0.7, r2=1.2)
+def _check_condition(cfg: dict) -> tuple[int, str]:
+    """window-stability certificates for the double-integral existence functional"""
     p = ModelParams(alpha=cfg["alpha"], hurst=cfg["hurst"])
     lams = cfg["lambdas"]
     if len(lams) < 2:
@@ -471,13 +400,13 @@ def _cmd_check_condition(cfg: dict, started: float) -> int:
         "envelope_growth": env_growth,
     }
     _emit_json(cfg, "condition", results)
-    _announce(cfg, f"check-condition: condition growth {max(cond_growth):.4%}, "
-                   f"envelope growth {max(env_growth):.4%} "
-                   f"(runtime {time.time() - started:.2f}s)")
-    return 0
+    return 0, (f"check-condition: condition growth {max(cond_growth):.4%}, "
+               f"envelope growth {max(env_growth):.4%}")
 
 
-def _cmd_check_identities(cfg: dict, started: float) -> int:
+@_command("check-identities", trials=100, half_width=10.0, n_terms=1000, seed=0, tolerance=1e-8)
+def _check_identities(cfg: dict) -> tuple[int, str]:
+    """exact pathwise identity sweep on random atomic measures"""
     results = identity_suite(
         trials=cfg["trials"],
         seed=cfg["seed"],
@@ -492,17 +421,19 @@ def _cmd_check_identities(cfg: dict, started: float) -> int:
     )
     results["tolerance"] = tol
     _emit_json(cfg, "identities", results)
-    _announce(cfg, f"check-identities: worst residual {worst:.3e} over "
-                   f"{cfg['trials']} trials (tolerance {tol:g}, "
-                   f"runtime {time.time() - started:.2f}s)")
+    summary = (f"check-identities: worst residual {worst:.3e} over "
+               f"{cfg['trials']} trials, tolerance {tol:g}")
     if worst > tol:
         print(f"error: identity residual {worst:.3e} exceeds tolerance {tol:g}",
               file=sys.stderr)
-        return 1
-    return 0
+        return 1, summary
+    return 0, summary
 
 
-def _cmd_kernel_limit(cfg: dict, started: float) -> int:
+@_command("kernel-limit", alpha=1.2, hurst=0.75, pairs=((1.0, -0.5), (3.0, 1.0), (0.5, -2.0)),
+          n_list=(64, 256, 1024, 4096, 16384))
+def _kernel_limit(cfg: dict) -> tuple[int, str]:
+    """deterministic rescaled-kernel convergence check"""
     p = ModelParams(alpha=cfg["alpha"], hurst=cfg["hurst"])
     n_list = cfg["n_list"]
     rows = []
@@ -514,38 +445,27 @@ def _cmd_kernel_limit(cfg: dict, started: float) -> int:
     results = {"n_list": list(n_list), "pairs": rows, "decreasing": decreasing}
     final = max(row["deviations"][-1] for row in rows)
     _emit_json(cfg, "kernel_limit", results)
-    _announce(cfg, f"kernel-limit: max final deviation {final:.3e}, "
-                   f"decreasing={'yes' if decreasing else 'no'} "
-                   f"(runtime {time.time() - started:.2f}s)")
-    return 0
-
-
-_DISPATCH = {
-    "simulate": _cmd_simulate,
-    "lln": _cmd_lln,
-    "clt": _cmd_clt,
-    "iid": _cmd_iid,
-    "check-condition": _cmd_check_condition,
-    "check-identities": _cmd_check_identities,
-    "kernel-limit": _cmd_kernel_limit,
-}
-
-
-def dispatch(cfg: dict) -> int:
-    started = time.time()
-    return _DISPATCH[cfg["command"]](cfg, started)
+    return 0, (f"kernel-limit: max final deviation {final:.3e}, "
+               f"decreasing={'yes' if decreasing else 'no'}")
 
 
 def main(argv=None) -> int:
+    """Run one command. Its console summary, with the wall time, goes to
+    stderr whenever stdout carries the artifact itself, so piped output stays
+    parseable."""
     try:
         cfg = parse_config(argv if argv is not None else sys.argv[1:])
-        return dispatch(cfg)
+        started = time.time()
+        code, summary = _COMMANDS[cfg["command"]][0](cfg)
     except HarmstableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print(f"{summary} (runtime {time.time() - started:.2f}s)",
+          file=sys.stdout if cfg["out"] else sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -13,9 +13,7 @@ limit theorems can be checked distributionally across realizations.
 
 from __future__ import annotations
 
-import csv
 import math
-from contextlib import nullcontext
 from functools import lru_cache
 
 import numpy as np
@@ -33,7 +31,6 @@ __all__ = [
     "rosenblatt_fast",
     "t_nodes_for",
     "tail_error_estimate",
-    "increments_to_csv",
 ]
 
 # atoms per block of the increment sum, which bounds its two power tables
@@ -163,12 +160,3 @@ def tail_error_estimate(p: ModelParams, half_width: float) -> float:
     cos_moment = math.gamma((a + 1.0) / 2.0) / (math.sqrt(math.pi) * math.gamma(a / 2.0 + 1.0))
     return 2.0 ** (a + 1.0) * cos_moment * half_width ** (-ah) / ah
 
-
-def increments_to_csv(y: np.ndarray, dest) -> None:
-    """Write the increments y as j, re, im rows (17 significant digits) to a
-    path, or to an open text stream, which is left open."""
-    with nullcontext(dest) if hasattr(dest, "write") else open(dest, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["j", "re", "im"])
-        for j, v in enumerate(y):
-            writer.writerow([j, format(v.real, ".17g"), format(v.imag, ".17g")])

@@ -29,7 +29,6 @@ __all__ = [
     "psi",
     "psi_norm_constant",
     "nearest_2pi",
-    "gn_bound",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -220,14 +219,3 @@ def nearest_2pi(x):
     out = TWO_PI * j
     return _maybe_scalar(out, scalar)
 
-
-def gn_bound(x, n: int):
-    """Envelope min(n, 2/|1 - e^{ix}|) dominating |kernel_gn| pointwise."""
-    if n < 1:
-        raise ParameterError(f"n must be a positive integer, got {n}")
-    arr, scalar = _as_array(x)
-    denom = 2.0 * np.abs(np.sin(0.5 * arr))
-    out = np.full(arr.shape, float(n))
-    pos = denom > 0.0
-    np.minimum(out, np.divide(2.0, denom, out=np.full(arr.shape, np.inf), where=pos), out=out)
-    return _maybe_scalar(out, scalar)

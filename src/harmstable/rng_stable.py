@@ -21,7 +21,6 @@ from .errors import ParameterError
 
 __all__ = [
     "RngStream",
-    "sample_sas",
     "sample_isotropic_stable",
     "poisson_arrivals",
 ]
@@ -61,30 +60,6 @@ def _positive_exponential(g: np.random.Generator, size) -> np.ndarray:
         w[bad] = g.exponential(1.0, int(bad.sum()))
 
 
-def sample_sas(alpha: float, scale: float, rng: RngStream, size=None):
-    """Symmetric alpha-stable draws via the Chambers-Mallows-Stuck transform.
-
-    alpha = 2 is admitted (it degenerates to a Gaussian with standard
-    deviation scale*sqrt(2)) so the sampler can be checked against a known
-    closed form; the process model itself never uses it.
-    """
-    _check_stable_args(alpha, scale)
-    g = rng.generator
-    shape = () if size is None else size
-    u = g.uniform(-0.5 * np.pi, 0.5 * np.pi, shape)
-    w = _positive_exponential(g, shape)
-    if alpha == 1.0:
-        x = np.tan(u)
-    else:
-        x = (
-            np.sin(alpha * u)
-            / np.cos(u) ** (1.0 / alpha)
-            * (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha)
-        )
-    out = scale * x
-    return float(out) if size is None else out
-
-
 def _positive_stable(rho: float, g: np.random.Generator, shape) -> np.ndarray:
     """One-sided rho-stable amplitude with Laplace transform exp(-s**rho).
 
@@ -109,8 +84,9 @@ def sample_isotropic_stable(alpha: float, scale: float, rng: RngStream, size=Non
 
     Construction: a common one-sided (alpha/2)-stable amplitude multiplying a
     standard complex Gaussian.  The real part then follows the scalar
-    sample_sas law at the same scale parameter, giving a closed consistency
-    loop between the two samplers.
+    symmetric alpha-stable law at the same scale parameter, which the tests
+    check against a Chambers-Mallows-Stuck sampler (sample_sas in
+    tests/oracles.py).
     """
     _check_stable_args(alpha, scale)
     g = rng.generator

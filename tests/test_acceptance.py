@@ -18,7 +18,6 @@ from harmstable import (
     build_jump_measure,
     condition_value,
     envelope_quadrature,
-    gn_bound,
     identity_suite,
     iid_stable_qv_experiment,
     integrate,
@@ -34,6 +33,7 @@ from harmstable import (
     sample_isotropic_stable,
 )
 from harmstable.cli import main
+from oracles import gn_bound
 
 P = ModelParams(alpha=1.2, hurst=0.75)
 
@@ -292,7 +292,18 @@ def test_cli_reports_are_deterministic(criterion_recorder, tmp_path):
                               "--n-terms", "200", "--seed", "4"], True),
         ("kernel-limit", ["kernel-limit", "--pairs", "1,-0.5;3,1",
                           "--n-list", "64,256"], False),
+        ("simulate-csv", ["simulate", "--n", "16", "--n-terms", "200",
+                          "--half-width", "5", "--seed", "3", "--format", "csv"], False),
+        ("lln-csv", ["lln", "--half-width", "5", "--n-terms", "400",
+                     "--n-list", "8,16,32", "--reps", "50", "--seed", "9",
+                     "--format", "csv"], True),
+        ("clt-csv", ["clt", "--half-width", "5", "--n-terms", "400", "--n", "16",
+                     "--reps", "8", "--seed", "10", "--format", "csv"], True),
+        ("iid-csv", ["iid", "--alpha", "1.5", "--n-list", "64,128,256",
+                     "--reps", "100", "--seed", "7", "--format", "csv"], True),
     ]
+    # files written next to the --out path, by the suffix of their stem
+    sidecars = {"clt-csv": ("_error_ecdf", "_limit_ecdf")}
     mismatched = []
     for name, argv, threaded in cases:
         out_a = tmp_path / f"{name}_a.out"
@@ -301,7 +312,11 @@ def test_cli_reports_are_deterministic(criterion_recorder, tmp_path):
         extra_b = ["--threads", "4"] if threaded else []
         rc_a = main(argv + extra_a + ["--out", str(out_a)])
         rc_b = main(argv + extra_b + ["--out", str(out_b)])
-        if rc_a != 0 or rc_b != 0 or out_a.read_bytes() != out_b.read_bytes():
+        pairs = [(out_a, out_b)] + [
+            (tmp_path / f"{name}_a{suffix}.out", tmp_path / f"{name}_b{suffix}.out")
+            for suffix in sidecars.get(name, ())
+        ]
+        if rc_a != 0 or rc_b != 0 or any(a.read_bytes() != b.read_bytes() for a, b in pairs):
             mismatched.append(name)
     elapsed = time.monotonic() - started
     ok = not mismatched

@@ -81,7 +81,7 @@ class TestRunLlnExperiment:
         assert [row["n"] for row in rep.per_n] == [8, 16, 32]
         for row in rep.per_n:
             assert 0.0 <= row["q25"] <= row["median"] <= row["q75"]
-        assert len(rep.raw) == 50 * 3
+        assert rep.samples.shape == (50, 3)
         assert rep.slope < 0.0 and rep.slope_stderr > 0.0
         # the statistic itself grows essentially linearly in n
         assert rep.extras["q_slope"] == pytest.approx(1.0, abs=0.2)
@@ -89,7 +89,7 @@ class TestRunLlnExperiment:
     def test_deterministic_across_thread_counts(self):
         a = run_lln_experiment(P, 5.0, 400, (8, 16, 32), 50, seed=9, threads=1)
         b = run_lln_experiment(P, 5.0, 400, (8, 16, 32), 50, seed=9, threads=4)
-        assert a.raw == b.raw
+        np.testing.assert_array_equal(a.samples, b.samples)
         assert a.slope == b.slope
 
     def test_single_atom_degeneracy_reports_no_slope(self):
@@ -119,16 +119,16 @@ class TestRunCltExperiment:
     def test_report_shape(self):
         rep = run_clt_experiment(P, 5.0, 400, 16, 8, seed=10, threads=1)
         assert 0.0 <= rep.ks_distance <= 1.0
-        assert len(rep.raw) == 16
-        assert len(rep.extras["normalized_errors"]) == 8
-        assert len(rep.extras["limit_draws"]) == 8
+        # 8 errors on streams 0..7 over 8 limit draws on streams 8..15
+        assert rep.samples.shape == (16, 1)
         # the two samples come from disjoint substreams
-        assert rep.extras["normalized_errors"] != rep.extras["limit_draws"]
+        assert not np.array_equal(rep.samples[:8], rep.samples[8:])
 
     def test_deterministic(self):
         a = run_clt_experiment(P, 5.0, 400, 16, 8, seed=10, threads=1)
         b = run_clt_experiment(P, 5.0, 400, 16, 8, seed=10, threads=3)
-        assert a.raw == b.raw and a.ks_distance == b.ks_distance
+        np.testing.assert_array_equal(a.samples, b.samples)
+        assert a.ks_distance == b.ks_distance
 
     def test_default_nodes_follow_window(self):
         # ceil(5) + 16 = 21 Gauss-Legendre nodes at half-width 5; the limit
@@ -140,7 +140,7 @@ class TestRunCltExperiment:
             )
             for i in range(4)
         ]
-        assert rep.extras["limit_draws"] == expected
+        assert rep.samples[4:, 0].tolist() == expected
 
     @pytest.mark.parametrize("alpha,hurst", [(1.8, 0.55), (1.2, 0.4)])
     def test_rejects_parameters_outside_limit_regime(self, alpha, hurst):
@@ -158,7 +158,7 @@ class TestIidStableQvExperiment:
     def test_superlinear_growth_rate(self):
         rep = iid_stable_qv_experiment(1.5, (64, 256, 1024), 100, seed=7, threads=1)
         assert rep.slope == pytest.approx(2.0 / 1.5, abs=0.25)
-        assert len(rep.raw) == 300
+        assert rep.samples.shape == (100, 3)
 
     def test_gaussian_case_grows_linearly(self):
         rep = iid_stable_qv_experiment(2.0, (64, 256, 1024), 100, seed=8, threads=1)
@@ -293,12 +293,12 @@ class TestThreadCountInvariance:
     def test_lln(self):
         a = run_lln_experiment(P, 5.0, 20000, (64, 128, 256), 50, seed=21, threads=1)
         b = run_lln_experiment(P, 5.0, 20000, (64, 128, 256), 50, seed=21, threads=2)
-        assert a.raw == b.raw
+        np.testing.assert_array_equal(a.samples, b.samples)
 
     def test_clt(self):
         a = run_clt_experiment(P, 5.0, 20000, 256, 4, seed=22, threads=1)
         b = run_clt_experiment(P, 5.0, 20000, 256, 4, seed=22, threads=2)
-        assert a.raw == b.raw
+        np.testing.assert_array_equal(a.samples, b.samples)
 
     def test_identity_suite(self):
         a = identity_suite(4, seed=23, n_terms=300, threads=1)

@@ -1,16 +1,23 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
+import csv
 import dataclasses
 import importlib
+import io
 import json
 import os
 import pkgutil
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 try:
     import tomllib
@@ -18,8 +25,18 @@ except ModuleNotFoundError:  # Python < 3.11
     import tomli as tomllib
 
 import harmstable
-from harmstable import RngStream, __version__, build_jump_measure, cli
-from harmstable.cli import _DEFAULTS, main, parse_config
+from harmstable import (
+    ModelParams,
+    RngStream,
+    __version__,
+    build_jump_measure,
+    cli,
+    iid_stable_qv_experiment,
+    run_clt_experiment,
+    run_lln_experiment,
+    simulate_increments,
+)
+from harmstable.cli import _COMMANDS, main, parse_config
 from harmstable.errors import ConfigError
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -46,6 +63,26 @@ def run_main(capsys, argv):
     rc = main(argv)
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    """The array's float64 words, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def read_increments(text: str) -> np.ndarray:
+    """The j, re, im rows of an increments CSV as a complex vector."""
+    rows = list(csv.reader(io.StringIO(text)))
+    assert rows[0] == ["j", "re", "im"]
+    assert [int(r[0]) for r in rows[1:]] == list(range(len(rows) - 1))
+    return np.array([complex(float(r[1]), float(r[2])) for r in rows[1:]], dtype=complex)
+
+
+# finite doubles with the edge cases of a 17-digit text round trip: signed
+# zeros, subnormals, the smallest normal and magnitudes near overflow
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+               1e300, -1e300, 1.7976931348623157e308)
+FINITE = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
 
 
 class TestParseConfig:
@@ -154,7 +191,8 @@ class TestPerCommandFlags:
     def test_report_config_is_the_command_fields(self, capsys, command):
         rc, out, _ = run_main(capsys, [command, *SMALL_RUNS[command]])
         assert rc == 0
-        assert list(json.loads(out)["config"]) == [k for k in _DEFAULTS[command] if k != "format"]
+        defaults = _COMMANDS[command][1]
+        assert list(json.loads(out)["config"]) == [k for k in defaults if k != "format"]
 
     @pytest.mark.parametrize(
         "command, fields",
@@ -412,6 +450,92 @@ class TestExperimentCommands:
         assert report["kind"] == "iid"
         assert report["results"]["slope"] == pytest.approx(2.0 / 1.5, abs=0.3)
         assert "target=1.3333" in err
+
+
+CLT_ARGS = ["clt", "--half-width", "5", "--n-terms", "400", "--n", "16", "--reps", "8",
+            "--seed", "10"]
+
+
+def clt_report():
+    """The runner's report for CLT_ARGS."""
+    return run_clt_experiment(ModelParams(1.2, 0.75), 5.0, 400, 16, 8, 10)
+
+# each sample-CSV command, its runner called with the same values, and its ns
+SAMPLE_RUNS = [
+    (LLN_ARGS, lambda: run_lln_experiment(ModelParams(1.2, 0.75), 5.0, 400, (8, 16, 32), 50, 9),
+     (8, 16, 32)),
+    (["iid", "--alpha", "1.5", "--n-list", "64,128,256", "--reps", "100", "--seed", "7"],
+     lambda: iid_stable_qv_experiment(1.5, (64, 128, 256), 100, 7), (64, 128, 256)),
+    (CLT_ARGS, clt_report, (16,)),
+]
+
+
+class TestSampleCsv:
+    @pytest.mark.parametrize("argv, run, ns", SAMPLE_RUNS, ids=["lln", "iid", "clt"])
+    def test_rows_are_the_report_samples_n_major(self, capsys, argv, run, ns):
+        # all replications at the first n, then at the next; clt's one
+        # column holds its 8 errors, then its 8 limit draws, as 0..15
+        rc, out, _ = run_main(capsys, argv + ["--format", "csv"])
+        assert rc == 0
+        samples = run().samples
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["replication", "n", "value"]
+        assert [(int(r), int(n)) for r, n, _ in rows[1:]] == [
+            (i, n) for n in ns for i in range(samples.shape[0])
+        ]
+        values = np.array([float(v) for _, _, v in rows[1:]])
+        np.testing.assert_array_equal(bits(values), bits(samples.T.ravel()))
+
+    @pytest.mark.parametrize("out", ["clt.csv", "./clt", "runs.v1/clt"])
+    def test_clt_sidecars_sit_beside_the_samples(self, capsys, tmp_path, monkeypatch, out):
+        # the suffix goes before the file name's extension, or before .csv
+        # when it has none, whatever dots the directories carry
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "runs.v1").mkdir()
+        rc, _, err = run_main(capsys, CLT_ARGS + ["--format", "csv", "--out", out])
+        assert rc == 0, err
+        draws = clt_report().samples[:, 0]
+        root = out.removesuffix(".csv")
+        for suffix, sample in (("_error_ecdf", draws[:8]), ("_limit_ecdf", draws[8:])):
+            rows = list(csv.reader(io.StringIO(Path(f"{root}{suffix}.csv").read_text())))
+            assert rows[0] == ["x", "F"]
+            x = np.array([float(r[0]) for r in rows[1:]])
+            np.testing.assert_array_equal(bits(x), bits(np.sort(sample)))
+            assert [float(r[1]) for r in rows[1:]] == [(i + 1) / 8 for i in range(8)]
+
+
+class TestWriteCsv:
+    SIMULATE = ["simulate", "--n", "48", "--n-terms", "1000", "--half-width", "10", "--seed", "12"]
+
+    def test_simulate_csv_reads_back_as_the_increments(self, capsys, tmp_path):
+        path = tmp_path / "increments.csv"
+        rc, _, _ = run_main(capsys, self.SIMULATE + ["--out", str(path)])
+        assert rc == 0
+        jm = build_jump_measure(1.2, 10.0, 1000, RngStream(12, 0))
+        y = simulate_increments(jm, 48, ModelParams(1.2, 0.75))
+        np.testing.assert_array_equal(bits(read_increments(path.read_text())), bits(y))
+
+    def test_stdout_gets_the_bytes_of_the_file(self, capsys, tmp_path):
+        path = tmp_path / "increments.csv"
+        run_main(capsys, self.SIMULATE + ["--out", str(path)])
+        rc, out, _ = run_main(capsys, self.SIMULATE)
+        assert rc == 0
+        assert out.encode() == path.read_bytes()
+
+    @settings(max_examples=60)
+    @given(parts=st.lists(st.tuples(FINITE, FINITE), min_size=1, max_size=40))
+    def test_floats_round_trip_bit_exact(self, parts):
+        rows = [[j, re, im] for j, (re, im) in enumerate(parts)]
+        stream = io.StringIO()
+        with contextlib.redirect_stdout(stream):
+            cli._write_csv(None, ["j", "re", "im"], rows)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "increments.csv"
+            cli._write_csv(path, ["j", "re", "im"], rows)
+            assert path.read_bytes() == stream.getvalue().encode()
+            back = read_increments(path.read_text())
+        y = np.array([complex(re, im) for re, im in parts])
+        np.testing.assert_array_equal(bits(back), bits(y))
 
 
 class TestCheckCommands:

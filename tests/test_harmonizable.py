@@ -1,10 +1,6 @@
 """Unit tests for coupled increments, Q_n, and the realized limit objects."""
 
-import csv
-import io
 import math
-import tempfile
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +16,6 @@ from harmstable import (
     SingularityError,
     build_jump_measure,
     double_integrate,
-    increments_to_csv,
     kernel_h,
     kernel_hn,
     kernel_r,
@@ -55,26 +50,6 @@ def recurrence_oracle(s: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
         out[j] = cur.sum()
         cur = cur * rot
     return out
-
-
-# finite doubles with the edge cases of a 17-digit text round trip: signed
-# zeros, subnormals, the smallest normal and magnitudes near overflow
-EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
-               1e300, -1e300, 1.7976931348623157e308)
-FINITE = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
-
-
-def bits(a: np.ndarray) -> np.ndarray:
-    """The array's float64 words, so that -0.0 and 0.0 differ."""
-    return np.ascontiguousarray(a).view(np.uint64)
-
-
-def read_increments(text: str) -> np.ndarray:
-    """The j, re, im rows of an increments CSV as a complex vector."""
-    rows = list(csv.reader(io.StringIO(text)))
-    assert rows[0] == ["j", "re", "im"]
-    assert [int(r[0]) for r in rows[1:]] == list(range(len(rows) - 1))
-    return np.array([complex(float(r[1]), float(r[2])) for r in rows[1:]], dtype=complex)
 
 
 # perfect squares +- 1 and the values around 1024 and 2048
@@ -311,37 +286,4 @@ class TestTailErrorEstimate:
     def test_rejects_small_window(self):
         with pytest.raises(ParameterError):
             tail_error_estimate(P, 0.5)
-
-
-class TestSerialization:
-    def test_increments_csv_round_trip(self, tmp_path):
-        y = simulate_increments(small_measure(12), 48, P)
-        path = tmp_path / "increments.csv"
-        increments_to_csv(y, path)
-        back = read_increments(path.read_text())
-        assert back.shape == (48,)
-        np.testing.assert_array_equal(back, y)
-
-    def test_increments_csv_to_stream_matches_file(self, tmp_path):
-        y = simulate_increments(small_measure(12), 48, P)
-        path = tmp_path / "increments.csv"
-        increments_to_csv(y, path)
-        stream = io.StringIO()
-        increments_to_csv(y, stream)
-        assert not stream.closed
-        assert stream.getvalue().encode() == path.read_bytes()
-
-    @settings(max_examples=60)
-    @given(parts=st.lists(st.tuples(FINITE, FINITE), min_size=1, max_size=40))
-    def test_increments_csv_round_trip_is_bit_exact(self, parts):
-        y = np.array([complex(re, im) for re, im in parts])
-        stream = io.StringIO()
-        increments_to_csv(y, stream)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "increments.csv"
-            increments_to_csv(y, path)
-            assert path.read_bytes() == stream.getvalue().encode()
-            back = read_increments(path.read_text())
-        assert back.dtype == complex
-        np.testing.assert_array_equal(bits(back), bits(y))
 

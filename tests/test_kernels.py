@@ -11,7 +11,6 @@ from harmstable import (
     ModelParams,
     ParameterError,
     SingularityError,
-    gn_bound,
     kernel_gn,
     kernel_h,
     kernel_hn,
@@ -21,6 +20,7 @@ from harmstable import (
     psi,
     psi_norm_constant,
 )
+from oracles import gn_bound
 
 P = ModelParams(alpha=1.2, hurst=0.75)
 

@@ -9,8 +9,8 @@ from harmstable import (
     RngStream,
     poisson_arrivals,
     sample_isotropic_stable,
-    sample_sas,
 )
+from oracles import sample_sas
 
 
 def ecf_cos(x: np.ndarray, t: float) -> float:
