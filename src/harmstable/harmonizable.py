@@ -20,7 +20,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import ParameterError, SingularityError
-from .kernels import ModelParams, half_angle_exp, phi_qv, r_from_half_angle
+from .kernels import ZERO_FLOOR, ModelParams, half_angle_exp, phi_qv, r_from_half_angle
 from .levy_model import JumpMeasure, integrate_qv
 
 __all__ = [
@@ -60,22 +60,32 @@ def simulate_increments(jm: JumpMeasure, n: int, p: ModelParams) -> np.ndarray:
     b = math.isqrt(n)
     k = -(-n // b)
     acc = np.zeros((b, k), dtype=complex)
+    # one set of block-sized buffers per call, sliced to a short last block;
+    # no product writes over its own operand (numpy rounds a 1-element
+    # in-place complex product differently)
+    width = min(s.size, _ATOM_BLOCK)
+    h_buf, rot_buf, c_buf = np.empty((3, width), dtype=complex)
+    baby_buf = np.empty(b * width, dtype=complex)
+    giant_buf = np.empty(k * width, dtype=complex)
     for i0 in range(0, s.size, _ATOM_BLOCK):
         sb = s[i0 : i0 + _ATOM_BLOCK]
-        h = half_angle_exp(sb)
-        rot = h * h
-        c = r_from_half_angle(sb, h, p.gamma) * jm.values[i0 : i0 + _ATOM_BLOCK]
-        baby = _powers(rot, b, 1.0)
-        giant = _powers(baby[-1] * rot, k, c)
+        m = sb.size
+        # h = exp(i s/2) as kernels.half_angle_exp forms it, in h_buf
+        h = np.exp(np.multiply(sb, 0.5j, out=h_buf[:m]), out=h_buf[:m])
+        rot = np.multiply(h, h, out=rot_buf[:m])
+        r = r_from_half_angle(sb, h, p.gamma)
+        c = np.multiply(r, jm.values[i0 : i0 + m], out=c_buf[:m])
+        baby = _powers(baby_buf[: b * m].reshape(b, m), rot, 1.0)
+        step = np.multiply(baby[-1], rot, out=h_buf[:m])  # r is spent
+        giant = _powers(giant_buf[: k * m].reshape(k, m), step, c)
         acc += baby @ giant.T
     return acc.T.ravel()[:n]
 
 
-def _powers(ratio: np.ndarray, rows: int, first) -> np.ndarray:
-    """Rows first * ratio^r for r < rows, by repeated multiplication."""
-    table = np.empty((rows, ratio.size), dtype=complex)
+def _powers(table: np.ndarray, ratio: np.ndarray, first) -> np.ndarray:
+    """Fill the rows of table with first * ratio^r, by repeated multiplication."""
     table[0] = first
-    for r in range(1, rows):
+    for r in range(1, len(table)):
         np.multiply(table[r - 1], ratio, out=table[r])
     return table
 
@@ -131,23 +141,28 @@ def rosenblatt_fast(jm: JumpMeasure, p: ModelParams, t_nodes: int | None = None)
     if jm.n_terms < 2:
         return 0.0
     s = jm.locations
-    if p.gamma < 0.0 and np.any(np.abs(s) < 1e-300):
+    if p.gamma < 0.0 and np.any(np.abs(s) < ZERO_FLOOR):
         raise SingularityError("atom at s = 0 with gamma < 0")
     amp = np.abs(s) ** p.gamma * jm.values
     diag = float(np.sum(amp.real**2 + amp.imag**2))
-    b = amp * np.exp(0.5j * s)
-    b_ri = np.column_stack((b.real, b.imag))
+    b = np.multiply(amp, half_angle_exp(s), out=amp)
+    b_ri = b.view(float).reshape(-1, 2)  # columns Re b, Im b
     # rule on [-1, 1]: t = (1 + x) / 2 halves each weight, a pair doubles it
     x, w = _leggauss(t_nodes)
     half = t_nodes // 2
     d, w_pair = 0.5 * x[t_nodes - half :], w[t_nodes - half :]
     total = 0.5 * w[half] * float(abs(b.sum())) ** 2 if t_nodes % 2 else 0.0
-    block = max(1, 2_097_152 // s.size)
-    for q0 in range(0, half, block):
-        ds = np.outer(d[q0 : q0 + block], s)
-        c = np.cos(ds) @ b_ri
-        sn = np.sin(ds, out=ds) @ b_ri
-        total += float(w_pair[q0 : q0 + block] @ np.sum(c**2 + sn**2, axis=1))
+    # C and S summed over atom blocks, so the tables hold half x 4096 entries
+    c, sn = np.zeros((2, half, 2))
+    ds_buf, trig_buf = np.empty((2, half * min(s.size, _ATOM_BLOCK)))
+    for i0 in range(0, s.size, _ATOM_BLOCK):
+        sb = s[i0 : i0 + _ATOM_BLOCK]
+        m = sb.size
+        ds = np.multiply.outer(d, sb, out=ds_buf[: half * m].reshape(half, m))
+        trig = trig_buf[: half * m].reshape(half, m)
+        c += np.cos(ds, out=trig) @ b_ri[i0 : i0 + m]
+        sn += np.sin(ds, out=trig) @ b_ri[i0 : i0 + m]
+    total += float(w_pair @ np.sum(c**2 + sn**2, axis=1))
     return total - diag * 0.5 * float(np.sum(w))
 
 

@@ -74,7 +74,7 @@ class JumpMeasure:
         if self.locations.shape != self.values.shape or self.locations.ndim != 1:
             raise ParameterError("locations and values must be aligned 1-d arrays")
         if self.locations.size and (
-            np.any(np.diff(self.locations) <= 0.0)
+            np.any(self.locations[1:] <= self.locations[:-1])
             or abs(self.locations[0]) > self.half_width
             or abs(self.locations[-1]) > self.half_width
         ):
@@ -164,15 +164,16 @@ def build_jump_measure(
 
     g = rng.generator
     locations = g.uniform(-half_width, half_width, n_terms)
-    arrivals = poisson_arrivals(n_terms, rng)
+    weights = poisson_arrivals(n_terms, rng)
     angles = g.uniform(0.0, 2.0 * np.pi, n_terms)
-    values = calibration * arrivals ** (-1.0 / alpha) * np.exp(1j * angles)
+    # calibration * Gamma_i^(-1/alpha), in the arrivals' buffer
+    np.multiply(calibration, np.power(weights, -1.0 / alpha, out=weights), out=weights)
 
     for _ in range(64):
         # untied, any sort gives the stable order; ties redraw by stable order
         order = np.argsort(locations)
         ls = locations[order]
-        dup = np.flatnonzero(np.diff(ls) == 0.0)
+        dup = np.flatnonzero(ls[1:] == ls[:-1])
         if dup.size == 0:
             break
         order = np.argsort(locations, kind="stable")
@@ -186,7 +187,17 @@ def build_jump_measure(
     else:
         raise RuntimeError("could not resolve tied atom locations")
 
-    return JumpMeasure(ls, values[order], half_width, calibration)
+    # gather the real factors one at a time and drop each array once spent,
+    # so at most one per-atom temporary lives beside the atoms; then write
+    # weight * exp(i angle) as weight * (cos, sin) into one complex array
+    del locations
+    weights = weights[order]
+    angles = angles[order]
+    del order
+    values = np.empty(n_terms, dtype=complex)
+    np.multiply(weights, np.cos(angles, out=values.real), out=values.real)
+    np.multiply(weights, np.sin(angles, out=values.imag), out=values.imag)
+    return JumpMeasure(ls, values, half_width, calibration)
 
 
 def _eval_finite(vals: np.ndarray, where: np.ndarray, what: str) -> None:

@@ -114,7 +114,7 @@ def poisson_arrivals(count: int, rng: RngStream) -> np.ndarray:
     g = rng.generator
     for _ in range(100):
         gaps = _positive_exponential(g, count)
-        arrivals = np.cumsum(gaps)
-        if np.all(np.diff(arrivals) > 0.0) and arrivals[0] > 0.0:
+        arrivals = np.cumsum(gaps, out=gaps)
+        if np.all(arrivals[1:] > arrivals[:-1]) and arrivals[0] > 0.0:
             return arrivals
     raise RuntimeError("could not produce strictly increasing arrivals")

@@ -42,3 +42,23 @@ def sample_sas(alpha: float, scale: float, rng: RngStream, size=None):
         )
     out = scale * x
     return float(out) if size is None else out
+
+
+def dense_increments(s: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
+    """Y_j = sum_i exp(i j s_i) c_i for j < n as the dense product
+    exp(1j * outer(j, s)) @ c, taken 64 values of j at a time."""
+    j = np.arange(n)
+    return np.concatenate(
+        [np.exp(1j * np.outer(j[r : r + 64], s)) @ c for r in range(0, n, 64)]
+    )
+
+
+def dense_limit(jm, p, t_nodes: int) -> float:
+    """Realized double-integral limit as the t_nodes Gauss-Legendre rule on
+    [0, 1] of |A(t)|^2, A(t) = sum_i exp(i t s_i) a_i with a_i = |s_i|^gamma v_i,
+    evaluated directly at every node, less the diagonal sum_i |a_i|^2."""
+    x, w = np.polynomial.legendre.leggauss(t_nodes)
+    t = 0.5 * (1.0 + x)
+    a = np.abs(jm.locations) ** p.gamma * jm.values
+    big_a = np.exp(1j * np.outer(t, jm.locations)) @ a
+    return float(0.5 * w @ np.abs(big_a) ** 2 - np.sum(np.abs(a) ** 2))

@@ -1,6 +1,7 @@
 """Unit tests for coupled increments, Q_n, and the realized limit objects."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from harmstable import (
     t_nodes_for,
     tail_error_estimate,
 )
+from oracles import dense_increments, dense_limit
 
 P = ModelParams(alpha=1.2, hurst=0.75)
 
@@ -55,6 +57,10 @@ def recurrence_oracle(s: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
 # perfect squares +- 1 and the values around 1024 and 2048
 EDGE_N = sorted({q * q + d for q in (1, 2, 3, 10, 32, 45, 54) for d in (-1, 0, 1) if q * q + d >= 1}
                 | {1023, 1024, 1025, 2047, 2048, 2049, 3000})
+
+
+# atom counts around the 4,096-atom block of the two atom-sum loops
+MULTI_BLOCK = [4095, 4096, 4097, 8193]
 
 
 class TestSimulateIncrements:
@@ -88,6 +94,21 @@ class TestSimulateIncrements:
         dense = np.exp(1j * np.outer(np.arange(n), s)) @ c
         assert np.abs(y - dense).max() <= tol
         assert np.abs(y - recurrence_oracle(s, c, n)).max() <= tol
+
+    @pytest.mark.parametrize("n_terms", MULTI_BLOCK)
+    def test_blocks_match_dense_sum(self, n_terms):
+        # one atom short of a block, a full block, and one and two full
+        # blocks plus a one-atom remainder, on a 2^-20 grid so that the
+        # oracle's j * s is exact
+        jm = build_jump_measure(1.2, 50.0, n_terms, RngStream(53, n_terms))
+        s = np.round(jm.locations * 2.0**20) / 2.0**20
+        assert np.all(s[1:] > s[:-1])
+        jm = JumpMeasure(s, jm.values, 50.0, jm.calibration)
+        c = kernel_r(s, P) * jm.values
+        tol = 1e-12 * float(np.abs(c).sum())
+        for n in (1, 2, 17, 512):
+            y = simulate_increments(jm, n, P)
+            assert np.abs(y - dense_increments(s, c, n)).max() <= tol
 
     def test_empty_measure_gives_zero_increments(self):
         empty = JumpMeasure(np.array([]), np.array([], complex), 1.0, 1.0)
@@ -229,6 +250,15 @@ class TestNodeRule:
         oracle = pair_sum_oracle(jm, P)
         assert rosenblatt_fast(jm, P, t_nodes=t_nodes) == pytest.approx(oracle, rel=1e-11)
 
+    @pytest.mark.parametrize("t_nodes", [36, 37])
+    @pytest.mark.parametrize("n_terms", MULTI_BLOCK)
+    def test_blocks_match_dense_limit(self, n_terms, t_nodes):
+        # C and S summed over one to three atom blocks against |A(t)|^2
+        # evaluated directly at the same nodes; 37 adds the centre node
+        jm = build_jump_measure(1.2, 20.0, n_terms, RngStream(59, n_terms))
+        fast = rosenblatt_fast(jm, P, t_nodes=t_nodes)
+        assert abs(fast - dense_limit(jm, P, t_nodes)) <= 1e-12 * diagonal_scale(jm, P)
+
     @settings(max_examples=30)
     @given(
         half_width=st.floats(1.0, 200.0),
@@ -287,3 +317,45 @@ class TestTailErrorEstimate:
         with pytest.raises(ParameterError):
             tail_error_estimate(P, 0.5)
 
+
+def traced_peak_mib(f) -> float:
+    """Peak of the memory traced while f runs, above what was traced before,
+    in MiB; f runs once untraced first so that cached rules are built."""
+    f()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        f()
+        return (tracemalloc.get_traced_memory()[1] - base) / 2.0**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingSet:
+    """Traced peaks at 10^5 atoms, where one float per atom is 0.76 MiB.
+    The kernels keep their tables to one 4,096-atom block; the bounds sit
+    about 25% above the peaks measured on numpy 2.4 and below the peaks of
+    whole-array tables (in brackets)."""
+
+    @pytest.fixture(scope="class")
+    def measures(self):
+        return {
+            hw: build_jump_measure(1.2, hw, 100_000, RngStream(61, int(hw)))
+            for hw in (20.0, 50.0)
+        }
+
+    # measured 3.2 and 3.7 MiB [32.1 and 35.1]
+    @pytest.mark.parametrize("half_width, bound", [(20.0, 4.0), (50.0, 4.6)])
+    def test_limit_draw(self, measures, half_width, bound):
+        jm = measures[half_width]
+        assert traced_peak_mib(lambda: rosenblatt_fast(jm, P)) <= bound
+
+    def test_increments(self, measures):
+        # measured 3.2 MiB [4.6]: the two tables are 2 sqrt(n) x 4096 entries
+        jm = measures[50.0]
+        assert traced_peak_mib(lambda: simulate_increments(jm, 512, P)) <= 4.0
+
+    def test_measure_build(self):
+        # measured 3.9 MiB [7.7], of which the atoms themselves are 2.3
+        peak = traced_peak_mib(lambda: build_jump_measure(1.2, 50.0, 100_000, RngStream(61, 0)))
+        assert peak <= 4.9
