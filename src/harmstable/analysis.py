@@ -44,6 +44,10 @@ __all__ = [
     "envelope_quadrature",
 ]
 
+# atom pairs per block of the identity sweep's rotating table; its three
+# complex arrays (768 KiB) stay in L2 while the recurrence runs over them
+_PAIR_BLOCK = 16384
+
 
 @dataclass(frozen=True, eq=False)
 class ExperimentReport:
@@ -347,16 +351,20 @@ def identity_suite(
     worst relative residuals seen; the error representation's residual is
     relative to the larger of |2 Re PairSum(h_m)| and m^(2-2H) max(Q_m/m, U).
 
-    The modulated pair sums share one exponential table: with
-    E = exp(i (s_i - s_k)) over ordered atom pairs, the pair value at j is
-    base * E^j, and the level-m kernel pair sum is the partial geometric sum
-    of the same table. The j = 0 column is cross-checked against the generic
+    The modulated pair sums share one exponential table (_pair_table_sums):
+    with E = exp(i (s_i - s_k)) over ordered atom pairs, the pair value at j
+    is base * E^j, and the level-m kernel pair sum is the partial geometric
+    sum of the same table. The j = 0 column is cross-checked against the generic
     pair-sum evaluator, and a rotating subset of trials recomputes the
     level-m sum through it as well."""
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     if j_max < 0 or n_increments < 1:
         raise ParameterError("j_max must be >= 0 and n_increments >= 1")
+    if len(alphas) < 1:
+        raise ParameterError("alphas must name at least one stability index")
+
+    j_count = min(j_max + 1, n_increments)
 
     def one(i: int) -> tuple[float, float]:
         alpha = alphas[i % len(alphas)]
@@ -365,35 +373,23 @@ def identity_suite(
         jm = build_jump_measure(alpha, half_width, n_terms, rng)
         s = jm.locations
         a = kernel_r(s, p) * jm.values
-
-        k_idx, i_idx = np.triu_indices(s.size, k=1)
-        base = a[i_idx] * np.conj(a[k_idx])
-        rot = np.exp(1j * (s[i_idx] - s[k_idx]))
+        pair_j, pair_level = _pair_table_sums(s, a, j_count, n_increments)
 
         pair_direct = complex(
             double_integrate(jm, lambda x, y: kernel_r(x, p) * np.conj(kernel_r(y, p)))
         )
+        if abs(pair_j[0] - pair_direct) > 1e-9 * max(abs(pair_j[0]), 1.0):
+            raise QuadratureError("pair-sum evaluators disagree on the base kernel")
 
         worst_sq = 0.0
-        cur = base.copy()
-        geom = np.zeros_like(base)
-        for j in range(n_increments):
-            if j == 0:
-                scale = abs(complex(cur.sum()))
-                if abs(complex(cur.sum()) - pair_direct) > 1e-9 * max(scale, 1.0):
-                    raise QuadratureError(
-                        "pair-sum evaluators disagree on the base kernel"
-                    )
-            if j <= j_max:
-                g = lambda x, _j=j: np.exp(1j * _j * x) * kernel_r(x, p)
-                total = integrate(jm, g)
-                lhs = total.real**2 + total.imag**2
-                pair = pair_direct if j == 0 else complex(cur.sum())
-                rhs = 2.0 * pair.real + integrate_qv(jm, lambda x, _g=g: np.abs(_g(x)) ** 2)
-                rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
-                worst_sq = max(worst_sq, rel)
-            geom += cur
-            cur *= rot
+        for j in range(j_count):
+            g = lambda x, _j=j: np.exp(1j * _j * x) * kernel_r(x, p)
+            total = integrate(jm, g)
+            lhs = total.real**2 + total.imag**2
+            pair = pair_direct if j == 0 else complex(pair_j[j])
+            rhs = 2.0 * pair.real + integrate_qv(jm, lambda x, _g=g: np.abs(_g(x)) ** 2)
+            rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
+            worst_sq = max(worst_sq, rel)
 
         y = simulate_increments(jm, n_increments, p)
         u = realized_U(jm, p)
@@ -402,7 +398,7 @@ def identity_suite(
         if i % 10 == 0:
             pair_m = complex(double_integrate(jm, lambda x, y: kernel_hn(x, y, n_increments, p)))
         else:
-            pair_m = float(n_increments) ** (1.0 - 2.0 * p.hurst) * complex(geom.sum())
+            pair_m = float(n_increments) ** (1.0 - 2.0 * p.hurst) * pair_level
         rhs = 2.0 * pair_m.real
         # lhs is the rescaled difference of Q_m/m and U, which one heavy atom
         # can make cancel to 1e-7 of either, so the residual is measured
@@ -425,6 +421,43 @@ def identity_suite(
         "max_square_decomposition_residual": max(r[0] for r in results),
         "max_error_representation_residual": max(r[1] for r in results),
     }
+
+
+def _pair_table_sums(
+    s: np.ndarray, a: np.ndarray, j_count: int, n_increments: int
+) -> tuple[np.ndarray, complex]:
+    """Sums over the atom pairs k < i of the rotating table
+    base * E^j, base = a_i conj(a_k), E = exp(i (s_i - s_k)): the sum at each
+    j < j_count, and the sum of the partial geometric sums
+    base * (1 + E + ... + E^(n_increments-1)).
+
+    The pairs are taken _PAIR_BLOCK at a time, so the block's rotation,
+    power and geometric arrays stay in cache for the whole recurrence. Each
+    pair's values are those of a whole-table recurrence; only the order in
+    which the block totals are added differs."""
+    k_idx, i_idx = np.triu_indices(s.size, k=1)
+    per_j = np.zeros(j_count, dtype=complex)
+    level = 0j
+    # one set of block-sized buffers per call, sliced to a short last block
+    width = min(k_idx.size, _PAIR_BLOCK)
+    s_i, s_k = np.empty((2, width))
+    rot_buf, cur_buf, geom_buf = np.empty((3, width), dtype=complex)
+    for p0 in range(0, k_idx.size, _PAIR_BLOCK):
+        ib, kb = i_idx[p0 : p0 + _PAIR_BLOCK], k_idx[p0 : p0 + _PAIR_BLOCK]
+        m = ib.size
+        conj_k = np.conjugate(np.take(a, kb, out=geom_buf[:m]), out=geom_buf[:m])
+        cur = np.multiply(np.take(a, ib, out=rot_buf[:m]), conj_k, out=cur_buf[:m])
+        diff = np.subtract(np.take(s, ib, out=s_i[:m]), np.take(s, kb, out=s_k[:m]), out=s_i[:m])
+        rot = np.exp(np.multiply(1j, diff, out=rot_buf[:m]), out=rot_buf[:m])
+        geom = geom_buf[:m]
+        geom.fill(0.0)
+        for j in range(n_increments):
+            if j < j_count:
+                per_j[j] += cur.sum()
+            geom += cur
+            cur *= rot
+        level += complex(geom.sum())
+    return per_j, level
 
 
 def kernel_limit_check(s: float, u: float, p: ModelParams, n_list) -> np.ndarray:

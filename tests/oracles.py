@@ -62,3 +62,22 @@ def dense_limit(jm, p, t_nodes: int) -> float:
     a = np.abs(jm.locations) ** p.gamma * jm.values
     big_a = np.exp(1j * np.outer(t, jm.locations)) @ a
     return float(0.5 * w @ np.abs(big_a) ** 2 - np.sum(np.abs(a) ** 2))
+
+
+def pair_table_sums(s: np.ndarray, a: np.ndarray, j_count: int, n_increments: int):
+    """The identity sweep's rotating pair table over all pairs k < i at once:
+    base = a_i conj(a_k) rotated by E = exp(i (s_i - s_k)) n_increments
+    times, returning the table's sum at each j < j_count and the sum of its
+    partial geometric sums."""
+    k_idx, i_idx = np.triu_indices(s.size, k=1)
+    base = a[i_idx] * np.conj(a[k_idx])
+    rot = np.exp(1j * (s[i_idx] - s[k_idx]))
+    per_j = np.zeros(j_count, dtype=complex)
+    cur = base.copy()
+    geom = np.zeros_like(base)
+    for j in range(n_increments):
+        if j < j_count:
+            per_j[j] = cur.sum()
+        geom += cur
+        cur *= rot
+    return per_j, complex(geom.sum())

@@ -23,6 +23,7 @@ from harmstable import (
     identity_suite,
     iid_stable_qv_experiment,
     kernel_limit_check,
+    kernel_r,
     ks_two_sample,
     loglog_slope,
     run_clt_experiment,
@@ -30,6 +31,7 @@ from harmstable import (
     run_lln_experiment,
     simulate_increments,
 )
+from oracles import pair_table_sums
 
 P = ModelParams(alpha=1.2, hurst=0.75)
 
@@ -218,6 +220,39 @@ class TestIdentitySuite:
             identity_suite(0, seed=11)
         with pytest.raises(ParameterError):
             identity_suite(1, seed=11, n_increments=0)
+
+    def test_rejects_empty_alphas(self):
+        with pytest.raises(ParameterError, match="alphas"):
+            identity_suite(1, 0, alphas=())
+
+    def test_evaluator_disagreement_raises(self, monkeypatch):
+        double_integrate = analysis.double_integrate
+        monkeypatch.setattr(analysis, "double_integrate",
+                            lambda jm, f: (1.0 + 1e-6) * double_integrate(jm, f))
+        with pytest.raises(QuadratureError, match="disagree"):
+            identity_suite(1, seed=11, n_terms=200, threads=1)
+
+
+class TestPairTableSums:
+    # 181 atoms give 16,290 pairs (one short block), 182 give 16,471 (just
+    # past one block) and 1,000 give 499,500 (30 full blocks and a remainder)
+    @pytest.mark.parametrize("atoms", [1, 2, 181, 182, 1000])
+    @pytest.mark.parametrize("j_max,n_increments", [(16, 3), (16, 64)])
+    def test_matches_whole_table(self, atoms, j_max, n_increments):
+        jm = build_jump_measure(P.alpha, 10.0, atoms, RngStream(5, atoms))
+        s = jm.locations
+        a = kernel_r(s, P) * jm.values
+        j_count = min(j_max + 1, n_increments)
+        per_j, level = analysis._pair_table_sums(s, a, j_count, n_increments)
+        want_j, want_level = pair_table_sums(s, a, j_count, n_increments)
+        assert per_j.shape == (j_count,)
+        if atoms == 1:
+            assert not np.any(per_j) and level == 0.0
+            return
+        k_idx, i_idx = np.triu_indices(atoms, k=1)
+        scale = float(np.sum(np.abs(a[i_idx] * np.conj(a[k_idx]))))
+        assert np.max(np.abs(per_j - want_j)) <= 1e-13 * scale
+        assert abs(level - want_level) <= 1e-13 * scale
 
 
 class TestKernelLimitCheck:

@@ -29,6 +29,7 @@ from harmstable import (
     ModelParams,
     RngStream,
     __version__,
+    analysis,
     build_jump_measure,
     cli,
     iid_stable_qv_experiment,
@@ -574,6 +575,17 @@ class TestCheckCommands:
         assert rc == 1
         assert "exceeds tolerance" in err
         assert json.loads(out)["kind"] == "identities"  # report emitted anyway
+
+    def test_check_identities_evaluator_disagreement_exits_2(self, capsys, monkeypatch):
+        double_integrate = analysis.double_integrate
+        monkeypatch.setattr(analysis, "double_integrate",
+                            lambda jm, f: (1.0 + 1e-6) * double_integrate(jm, f))
+        rc, out, err = run_main(
+            capsys, ["check-identities", "--trials", "2", "--n-terms", "200"]
+        )
+        assert rc == 2 and out == ""
+        assert err.startswith("error:") and "disagree" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_kernel_limit(self, capsys):
         rc, out, _ = run_main(
