@@ -13,7 +13,7 @@ import glob
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache
 
 import numpy as np
@@ -28,7 +28,14 @@ from .harmonizable import (
     t_nodes_for,
 )
 from .kernels import ModelParams, kernel_h, kernel_hn, kernel_r, nearest_2pi
-from .levy_model import build_jump_measure, double_integrate, integrate, integrate_qv
+from .levy_model import (
+    _PAIR_BLOCK,
+    _pair_blocks,
+    build_jump_measure,
+    double_integrate,
+    integrate,
+    integrate_qv,
+)
 from .quadrature import QuadratureSpec, axis_cells
 from .rng_stable import RngStream, sample_isotropic_stable
 
@@ -43,10 +50,6 @@ __all__ = [
     "kernel_limit_check",
     "envelope_quadrature",
 ]
-
-# atom pairs per block of the identity sweep's rotating table; its three
-# complex arrays (768 KiB) stay in L2 while the recurrence runs over them
-_PAIR_BLOCK = 16384
 
 
 @dataclass(frozen=True, eq=False)
@@ -431,19 +434,16 @@ def _pair_table_sums(
     j < j_count, and the sum of the partial geometric sums
     base * (1 + E + ... + E^(n_increments-1)).
 
-    The pairs are taken _PAIR_BLOCK at a time, so the block's rotation,
-    power and geometric arrays stay in cache for the whole recurrence. Each
-    pair's values are those of a whole-table recurrence; only the order in
-    which the block totals are added differs."""
-    k_idx, i_idx = np.triu_indices(s.size, k=1)
+    The pairs are taken a block of levy_model._pair_blocks at a time, so the
+    block's rotation, power and geometric arrays stay in cache for the whole
+    recurrence. Each pair's values are those of a whole-table recurrence;
+    only the order in which the block totals are added differs."""
     per_j = np.zeros(j_count, dtype=complex)
     level = 0j
     # one set of block-sized buffers per call, sliced to a short last block
-    width = min(k_idx.size, _PAIR_BLOCK)
-    s_i, s_k = np.empty((2, width))
-    rot_buf, cur_buf, geom_buf = np.empty((3, width), dtype=complex)
-    for p0 in range(0, k_idx.size, _PAIR_BLOCK):
-        ib, kb = i_idx[p0 : p0 + _PAIR_BLOCK], k_idx[p0 : p0 + _PAIR_BLOCK]
+    s_i, s_k = np.empty((2, _PAIR_BLOCK))
+    rot_buf, cur_buf, geom_buf = np.empty((3, _PAIR_BLOCK), dtype=complex)
+    for ib, kb in _pair_blocks(s.size):
         m = ib.size
         conj_k = np.conjugate(np.take(a, kb, out=geom_buf[:m]), out=geom_buf[:m])
         cur = np.multiply(np.take(a, ib, out=rot_buf[:m]), conj_k, out=cur_buf[:m])
@@ -522,25 +522,14 @@ def envelope_quadrature(
     base = quad if quad is not None else QuadratureSpec(cells_per_decade=16)
     values = []
     for lam in lams:
-        outer = base.with_outer(lam)
-        s_quad = QuadratureSpec(
-            outer_cutoff=lam,
-            inner_cutoff=outer.inner_cutoff,
-            cells_per_decade=outer.cells_per_decade,
-            singular_points=(0.0, -1.0, 1.0),
-        )
+        s_quad = replace(base, outer_cutoff=lam, singular_points=(0.0, -1.0, 1.0))
         s_mid, s_w = axis_cells(s_quad)
         total = 0.0
         for s, w in zip(s_mid, s_w):
             inner = _band_integral(float(s), r1, lam)
             hi = float(s) - 1.0
             if hi > -lam:
-                u_quad = QuadratureSpec(
-                    outer_cutoff=lam,
-                    inner_cutoff=outer.inner_cutoff,
-                    cells_per_decade=outer.cells_per_decade,
-                    singular_points=(0.0, hi),
-                )
+                u_quad = replace(base, outer_cutoff=lam, singular_points=(0.0, hi))
                 u_mid, u_w = axis_cells(u_quad)
                 keep = u_mid <= hi
                 if np.any(keep):

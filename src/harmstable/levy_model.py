@@ -37,6 +37,11 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
+# ordered atom pairs per block of every pair sum (double_integrate and the
+# identity sweep's rotating table); the identity table's three complex
+# arrays of a block (768 KiB) stay in L2 while its recurrence runs
+_PAIR_BLOCK = 16384
+
 CALIBRATION_SEED = 20260301
 
 # Independent Monte Carlo record of the unit series scale, frozen from
@@ -200,11 +205,28 @@ def build_jump_measure(
     return JumpMeasure(ls, values, half_width, calibration)
 
 
-def _eval_finite(vals: np.ndarray, where: np.ndarray, what: str) -> None:
+def _eval_finite(vals: np.ndarray, what: str, *where: np.ndarray) -> None:
+    """Raise at the first non-finite value, naming its coordinates."""
     bad = ~np.isfinite(vals)
     if np.any(bad):
         idx = int(np.argmax(bad))
-        raise SingularityError(f"{what} is non-finite at location {where[idx]!r}")
+        at = ", ".join(repr(w[idx]) for w in where)
+        raise SingularityError(f"{what} is non-finite at ({at})")
+
+
+def _pair_blocks(n: int):
+    """Index arrays (i, k) of the atom pairs k < i in row order, the order of
+    np.tril_indices(n, -1), _PAIR_BLOCK pairs at a time. Row r's pairs start
+    at r(r-1)/2, so a block needs only that O(n) table and its own pairs."""
+    start = np.arange(n) * (np.arange(n) - 1) // 2
+    total = n * (n - 1) // 2
+    for p0 in range(0, total, _PAIR_BLOCK):
+        p1 = min(total, p0 + _PAIR_BLOCK)
+        r0, r1 = np.searchsorted(start, (p0, p1 - 1), side="right") - 1
+        rows = np.arange(r0, r1 + 1)
+        first = start[rows]
+        i = np.repeat(rows, np.minimum(first + rows, p1) - np.maximum(first, p0))
+        yield i, np.arange(p0, p1) - start[i]
 
 
 def integrate(jm: JumpMeasure, f) -> complex:
@@ -212,7 +234,7 @@ def integrate(jm: JumpMeasure, f) -> complex:
     if jm.n_terms == 0:
         return 0j
     vals = np.asarray(f(jm.locations))
-    _eval_finite(vals, jm.locations, "arity-1 kernel")
+    _eval_finite(vals, "arity-1 kernel", jm.locations)
     return complex(np.sum(vals * jm.values))
 
 
@@ -222,7 +244,7 @@ def integrate_qv(jm: JumpMeasure, phi) -> float:
     if jm.n_terms == 0:
         return 0.0
     vals = np.asarray(phi(jm.locations), dtype=float)
-    _eval_finite(vals, jm.locations, "quadratic-variation integrand")
+    _eval_finite(vals, "quadratic-variation integrand", jm.locations)
     if np.any(vals < 0.0):
         idx = int(np.argmax(vals < 0.0))
         raise ParameterError(
@@ -237,33 +259,22 @@ def double_integrate(jm: JumpMeasure, f) -> complex:
     """Strictly lower-triangular double integral:
     sum over location-ordered pairs u_k < s_i of f(s_i, u_k) * conj(v_k) * v_i.
 
-    The kernel is evaluated only on pairs inside the triangle, so integrands
-    that are singular or undefined elsewhere are safe.
+    The kernel is evaluated only on pairs inside the triangle, one block of
+    _pair_blocks at a time, so integrands that are singular or undefined
+    elsewhere are safe. It must return one value per pair, or a scalar.
     """
     s = jm.locations
     z = jm.values
-    n = s.size
-    if n < 2:
-        return 0j
-    zc = np.conj(z)
     total = 0j
-    block = max(1, 2_097_152 // n)
-    for i0 in range(1, n, block):
-        i1 = min(n, i0 + block)
-        rows = np.arange(i0, i1)
-        mask = np.arange(i1)[None, :] < rows[:, None]
-        s_i = np.broadcast_to(s[rows][:, None], mask.shape)[mask]
-        s_k = np.broadcast_to(s[None, :i1], mask.shape)[mask]
-        vals = np.asarray(f(s_i, s_k), dtype=complex)
-        bad = ~np.isfinite(vals)
-        if np.any(bad):
-            idx = int(np.argmax(bad))
-            raise SingularityError(
-                f"arity-2 kernel is non-finite at pair ({s_i[idx]!r}, {s_k[idx]!r})"
+    for i, k in _pair_blocks(s.size):
+        s_i, s_k = s[i], s[k]
+        vals = np.asarray(f(s_i, s_k))
+        if vals.shape not in ((), i.shape):
+            raise ParameterError(
+                f"arity-2 kernel returned shape {vals.shape} for {i.size} pairs"
             )
-        grid = np.zeros(mask.shape, dtype=complex)
-        grid[mask] = vals
-        total += complex(np.einsum("ik,k,i->", grid, zc[:i1], z[rows]))
+        _eval_finite(vals, "arity-2 kernel", s_i, s_k)
+        total += complex(np.sum(vals * np.conj(z[k]) * z[i]))
     return total
 
 

@@ -45,11 +45,6 @@ class QuadratureSpec:
                 f"cells_per_decade must be at least 4, got {self.cells_per_decade}"
             )
 
-    def with_outer(self, outer_cutoff: float) -> "QuadratureSpec":
-        return QuadratureSpec(
-            outer_cutoff, self.inner_cutoff, self.cells_per_decade, self.singular_points
-        )
-
 
 def axis_cells(quad: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
     """Midpoints and widths of the 1-d cells of the grid."""

@@ -1,8 +1,10 @@
 """Reference routes that only the tests use.
 
 Each one checks a production route against an independent construction and
-is not part of the package.
+is not part of the package; traced_peak_mib measures a route's working set.
 """
+
+import tracemalloc
 
 import numpy as np
 
@@ -81,3 +83,16 @@ def pair_table_sums(s: np.ndarray, a: np.ndarray, j_count: int, n_increments: in
         geom += cur
         cur *= rot
     return per_j, complex(geom.sum())
+
+
+def traced_peak_mib(f) -> float:
+    """Peak of the memory traced while f runs, above what was traced before,
+    in MiB; f runs once untraced first so that cached rules are built."""
+    f()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        f()
+        return (tracemalloc.get_traced_memory()[1] - base) / 2.0**20
+    finally:
+        tracemalloc.stop()

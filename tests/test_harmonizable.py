@@ -1,7 +1,6 @@
 """Unit tests for coupled increments, Q_n, and the realized limit objects."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +28,7 @@ from harmstable import (
     t_nodes_for,
     tail_error_estimate,
 )
-from oracles import dense_increments, dense_limit
+from oracles import dense_increments, dense_limit, traced_peak_mib
 
 P = ModelParams(alpha=1.2, hurst=0.75)
 
@@ -316,19 +315,6 @@ class TestTailErrorEstimate:
     def test_rejects_small_window(self):
         with pytest.raises(ParameterError):
             tail_error_estimate(P, 0.5)
-
-
-def traced_peak_mib(f) -> float:
-    """Peak of the memory traced while f runs, above what was traced before,
-    in MiB; f runs once untraced first so that cached rules are built."""
-    f()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        f()
-        return (tracemalloc.get_traced_memory()[1] - base) / 2.0**20
-    finally:
-        tracemalloc.stop()
 
 
 class TestWorkingSet:

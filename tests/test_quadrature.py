@@ -18,11 +18,6 @@ class TestQuadratureSpec:
         assert q.outer_cutoff == 50.0
         assert q.singular_points == (0.0, -1.0, 1.0)
 
-    def test_with_outer(self):
-        q = QuadratureSpec().with_outer(200.0)
-        assert q.outer_cutoff == 200.0
-        assert q.inner_cutoff == QuadratureSpec().inner_cutoff
-
     @pytest.mark.parametrize(
         "kwargs",
         [
