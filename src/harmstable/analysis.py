@@ -28,14 +28,7 @@ from .harmonizable import (
     t_nodes_for,
 )
 from .kernels import ModelParams, kernel_h, kernel_hn, kernel_r, nearest_2pi
-from .levy_model import (
-    _PAIR_BLOCK,
-    _pair_blocks,
-    build_jump_measure,
-    double_integrate,
-    integrate,
-    integrate_qv,
-)
+from .levy_model import build_jump_measure, double_integrate, integrate, integrate_qv
 from .quadrature import QuadratureSpec, axis_cells
 from .rng_stable import RngStream, sample_isotropic_stable
 
@@ -354,12 +347,12 @@ def identity_suite(
     worst relative residuals seen; the error representation's residual is
     relative to the larger of |2 Re PairSum(h_m)| and m^(2-2H) max(Q_m/m, U).
 
-    The modulated pair sums share one exponential table (_pair_table_sums):
-    with E = exp(i (s_i - s_k)) over ordered atom pairs, the pair value at j
-    is base * E^j, and the level-m kernel pair sum is the partial geometric
-    sum of the same table. The j = 0 column is cross-checked against the generic
+    The modulated pair sums come from prefix sums of a exp(ijs), a = r v
+    (_pair_table_sums), and the level-m kernel pair sum is their total over
+    j < n_increments. The j = 0 sum is cross-checked against the generic
     pair-sum evaluator, and a rotating subset of trials recomputes the
-    level-m sum through it as well."""
+    level-m sum through it as well. A non-finite pair sum or residual raises
+    QuadratureError."""
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     if j_max < 0 or n_increments < 1:
@@ -381,18 +374,20 @@ def identity_suite(
         pair_direct = complex(
             double_integrate(jm, lambda x, y: kernel_r(x, p) * np.conj(kernel_r(y, p)))
         )
-        if abs(pair_j[0] - pair_direct) > 1e-9 * max(abs(pair_j[0]), 1.0):
+        # written so that a NaN fails each comparison rather than passing it
+        if not np.all(np.isfinite([*pair_j, pair_level, pair_direct])):
+            raise QuadratureError(f"trial {i}: non-finite pair sum")
+        if not abs(pair_j[0] - pair_direct) <= 1e-9 * max(abs(pair_j[0]), 1.0):
             raise QuadratureError("pair-sum evaluators disagree on the base kernel")
 
-        worst_sq = 0.0
+        rels = []
         for j in range(j_count):
             g = lambda x, _j=j: np.exp(1j * _j * x) * kernel_r(x, p)
             total = integrate(jm, g)
             lhs = total.real**2 + total.imag**2
             pair = pair_direct if j == 0 else complex(pair_j[j])
             rhs = 2.0 * pair.real + integrate_qv(jm, lambda x, _g=g: np.abs(_g(x)) ** 2)
-            rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
-            worst_sq = max(worst_sq, rel)
+            rels.append(abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0))
 
         y = simulate_increments(jm, n_increments, p)
         u = realized_U(jm, p)
@@ -409,7 +404,9 @@ def identity_suite(
         terms = float(n_increments) ** (2.0 - 2.0 * p.hurst) * max(q_m / n_increments, u)
         scale = max(abs(rhs), terms)
         worst_err = abs(lhs - rhs) / scale if scale > 0.0 else abs(lhs - rhs)
-        return worst_sq, worst_err
+        if not np.all(np.isfinite([*rels, worst_err])):
+            raise QuadratureError(f"trial {i}: non-finite identity residual")
+        return max(rels), worst_err
 
     results = _parallel_map(one, trials, threads)
     return {
@@ -429,34 +426,26 @@ def identity_suite(
 def _pair_table_sums(
     s: np.ndarray, a: np.ndarray, j_count: int, n_increments: int
 ) -> tuple[np.ndarray, complex]:
-    """Sums over the atom pairs k < i of the rotating table
-    base * E^j, base = a_i conj(a_k), E = exp(i (s_i - s_k)): the sum at each
-    j < j_count, and the sum of the partial geometric sums
-    base * (1 + E + ... + E^(n_increments-1)).
+    """Sums over the atom pairs k < i of x_i conj(x_k), x = a exp(i j s):
+    the sum at each j < j_count, and the total over j < n_increments, which
+    is the pair sum of base * (1 + E + ... + E^(n_increments-1)) with
+    base = a_i conj(a_k) and E = exp(i (s_i - s_k)).
 
-    The pairs are taken a block of levy_model._pair_blocks at a time, so the
-    block's rotation, power and geometric arrays stay in cache for the whole
-    recurrence. Each pair's values are those of a whole-table recurrence;
-    only the order in which the block totals are added differs."""
+    The sum at j is sum(x[1:] * conj(cumsum(x[:-1]))), the same pairs in
+    location order, in O(atoms); x is rotated from the previous j by
+    exp(i s). The call holds four atom-sized rows whatever n_increments."""
     per_j = np.zeros(j_count, dtype=complex)
     level = 0j
-    # one set of block-sized buffers per call, sliced to a short last block
-    s_i, s_k = np.empty((2, _PAIR_BLOCK))
-    rot_buf, cur_buf, geom_buf = np.empty((3, _PAIR_BLOCK), dtype=complex)
-    for ib, kb in _pair_blocks(s.size):
-        m = ib.size
-        conj_k = np.conjugate(np.take(a, kb, out=geom_buf[:m]), out=geom_buf[:m])
-        cur = np.multiply(np.take(a, ib, out=rot_buf[:m]), conj_k, out=cur_buf[:m])
-        diff = np.subtract(np.take(s, ib, out=s_i[:m]), np.take(s, kb, out=s_k[:m]), out=s_i[:m])
-        rot = np.exp(np.multiply(1j, diff, out=rot_buf[:m]), out=rot_buf[:m])
-        geom = geom_buf[:m]
-        geom.fill(0.0)
-        for j in range(n_increments):
-            if j < j_count:
-                per_j[j] += cur.sum()
-            geom += cur
-            cur *= rot
-        level += complex(geom.sum())
+    rot = np.exp(1j * s)
+    x = np.array(a, dtype=complex)
+    prefix, prod = np.empty((2, max(s.size - 1, 0)), dtype=complex)
+    for j in range(n_increments):
+        np.conjugate(np.cumsum(x[:-1], out=prefix), out=prefix)
+        total = complex(np.multiply(x[1:], prefix, out=prod).sum())
+        if j < j_count:
+            per_j[j] = total
+        level += total
+        x *= rot
     return per_j, level
 
 

@@ -423,7 +423,7 @@ def _check_identities(cfg: dict) -> tuple[int, str]:
     _emit_json(cfg, "identities", results)
     summary = (f"check-identities: worst residual {worst:.3e} over "
                f"{cfg['trials']} trials, tolerance {tol:g}")
-    if worst > tol:
+    if not worst <= tol:
         print(f"error: identity residual {worst:.3e} exceeds tolerance {tol:g}",
               file=sys.stderr)
         return 1, summary

@@ -37,9 +37,7 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-# ordered atom pairs per block of every pair sum (double_integrate and the
-# identity sweep's rotating table); the identity table's three complex
-# arrays of a block (768 KiB) stay in L2 while its recurrence runs
+# ordered atom pairs per block of double_integrate, the one pair walk
 _PAIR_BLOCK = 16384
 
 CALIBRATION_SEED = 20260301
@@ -205,13 +203,20 @@ def build_jump_measure(
     return JumpMeasure(ls, values, half_width, calibration)
 
 
-def _eval_finite(vals: np.ndarray, what: str, *where: np.ndarray) -> None:
-    """Raise at the first non-finite value, naming its coordinates."""
+def _kernel_values(f, what: str, *where: np.ndarray) -> np.ndarray:
+    """f(*where), checked to be a scalar or one value per point, and finite;
+    a non-finite value raises naming its coordinates."""
+    vals = np.asarray(f(*where))
+    if vals.shape not in ((), where[0].shape):
+        raise ParameterError(
+            f"{what} returned shape {vals.shape} for {where[0].size} points"
+        )
     bad = ~np.isfinite(vals)
     if np.any(bad):
         idx = int(np.argmax(bad))
         at = ", ".join(repr(w[idx]) for w in where)
         raise SingularityError(f"{what} is non-finite at ({at})")
+    return vals
 
 
 def _pair_blocks(n: int):
@@ -230,21 +235,20 @@ def _pair_blocks(n: int):
 
 
 def integrate(jm: JumpMeasure, f) -> complex:
-    """Single integral of f against the measure: sum_i f(s_i) * value_i."""
+    """Single integral of f against the measure: sum_i f(s_i) * value_i.
+    f must return one value per atom, or a scalar."""
     if jm.n_terms == 0:
         return 0j
-    vals = np.asarray(f(jm.locations))
-    _eval_finite(vals, "arity-1 kernel", jm.locations)
+    vals = _kernel_values(f, "arity-1 kernel", jm.locations)
     return complex(np.sum(vals * jm.values))
 
 
 def integrate_qv(jm: JumpMeasure, phi) -> float:
     """Integral of phi against the pathwise quadratic variation measure:
-    sum_i phi(s_i) * |value_i|^2."""
+    sum_i phi(s_i) * |value_i|^2, with phi shaped as f of integrate."""
     if jm.n_terms == 0:
         return 0.0
-    vals = np.asarray(phi(jm.locations), dtype=float)
-    _eval_finite(vals, "quadratic-variation integrand", jm.locations)
+    vals = np.asarray(_kernel_values(phi, "quadratic-variation integrand", jm.locations), float)
     if np.any(vals < 0.0):
         idx = int(np.argmax(vals < 0.0))
         raise ParameterError(
@@ -267,13 +271,7 @@ def double_integrate(jm: JumpMeasure, f) -> complex:
     z = jm.values
     total = 0j
     for i, k in _pair_blocks(s.size):
-        s_i, s_k = s[i], s[k]
-        vals = np.asarray(f(s_i, s_k))
-        if vals.shape not in ((), i.shape):
-            raise ParameterError(
-                f"arity-2 kernel returned shape {vals.shape} for {i.size} pairs"
-            )
-        _eval_finite(vals, "arity-2 kernel", s_i, s_k)
+        vals = _kernel_values(f, "arity-2 kernel", s[i], s[k])
         total += complex(np.sum(vals * np.conj(z[k]) * z[i]))
     return total
 

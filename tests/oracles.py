@@ -67,10 +67,12 @@ def dense_limit(jm, p, t_nodes: int) -> float:
 
 
 def pair_table_sums(s: np.ndarray, a: np.ndarray, j_count: int, n_increments: int):
-    """The identity sweep's rotating pair table over all pairs k < i at once:
-    base = a_i conj(a_k) rotated by E = exp(i (s_i - s_k)) n_increments
-    times, returning the table's sum at each j < j_count and the sum of its
-    partial geometric sums."""
+    """Oracle for the identity sweep's prefix-sum route
+    (analysis._pair_table_sums): the rotating table over all pairs k < i at
+    once, base = a_i conj(a_k) rotated by E = exp(i (s_i - s_k))
+    n_increments times, returning the table's sum at each j < j_count and
+    the sum of its partial geometric sums. It walks every pair, so it is
+    independent of the prefix sums' order of addition."""
     k_idx, i_idx = np.triu_indices(s.size, k=1)
     base = a[i_idx] * np.conj(a[k_idx])
     rot = np.exp(1j * (s[i_idx] - s[k_idx]))

@@ -232,36 +232,89 @@ class TestIdentitySuite:
         with pytest.raises(QuadratureError, match="disagree"):
             identity_suite(1, seed=11, n_terms=200, threads=1)
 
+    def test_nonfinite_pair_sum_raises(self, monkeypatch):
+        # a comparison written a > b is False for a NaN, so NaN sums would
+        # pass the gate unless they are caught
+        def nan_sums(s, a, j_count, n_increments):
+            return np.full(j_count, np.nan + 0j), complex(np.nan)
+
+        monkeypatch.setattr(analysis, "_pair_table_sums", nan_sums)
+        with pytest.raises(QuadratureError, match="non-finite pair sum"):
+            identity_suite(3, seed=11, n_terms=200, threads=1)
+
+    def test_nonfinite_residual_raises(self, monkeypatch):
+        monkeypatch.setattr(analysis, "simulate_increments",
+                            lambda jm, n, p: np.full(n, np.nan + 0j))
+        with pytest.raises(QuadratureError, match="non-finite identity residual"):
+            identity_suite(1, seed=11, n_terms=200, threads=1)
+
+
+def _pair_sums_and_oracle(alpha, atoms, seed, j_max, n_increments):
+    """The production pair sums, the oracle's, and the bounds' scale
+    sum over the pairs k < i of |a_i conj(a_k)|, on one random measure."""
+    p = ModelParams(alpha=alpha, hurst=0.75)
+    jm = build_jump_measure(alpha, 10.0, atoms, RngStream(seed, atoms))
+    s = jm.locations
+    a = kernel_r(s, p) * jm.values
+    j_count = min(j_max + 1, n_increments)
+    got = analysis._pair_table_sums(s, a, j_count, n_increments)
+    want = pair_table_sums(s, a, j_count, n_increments)
+    k_idx, i_idx = np.triu_indices(atoms, k=1)
+    assert got[0].shape == (j_count,)
+    return got, want, float(np.sum(np.abs(a[i_idx] * np.conj(a[k_idx]))))
+
 
 class TestPairTableSums:
-    # 181 atoms give 16,290 pairs (one short block), 182 give 16,471 (just
-    # past one block) and 1,000 give 499,500 (30 full blocks and a remainder)
-    @pytest.mark.parametrize("atoms", [1, 2, 181, 182, 1000])
+    # 1 atom has no pair and 2 have one; 3,000 atoms give 4.5 million pairs
+    @pytest.mark.parametrize("atoms", [1, 2, 181, 182, 1000, 3000])
     @pytest.mark.parametrize("j_max,n_increments", [(16, 3), (16, 64)])
     def test_matches_whole_table(self, atoms, j_max, n_increments):
-        jm = build_jump_measure(P.alpha, 10.0, atoms, RngStream(5, atoms))
-        s = jm.locations
-        a = kernel_r(s, P) * jm.values
-        j_count = min(j_max + 1, n_increments)
-        per_j, level = analysis._pair_table_sums(s, a, j_count, n_increments)
-        want_j, want_level = pair_table_sums(s, a, j_count, n_increments)
-        assert per_j.shape == (j_count,)
+        (per_j, level), (want_j, want_level), scale = _pair_sums_and_oracle(
+            P.alpha, atoms, 5, j_max, n_increments)
         if atoms == 1:
             assert not np.any(per_j) and level == 0.0
             return
-        k_idx, i_idx = np.triu_indices(atoms, k=1)
-        scale = float(np.sum(np.abs(a[i_idx] * np.conj(a[k_idx]))))
         assert np.max(np.abs(per_j - want_j)) <= 1e-13 * scale
         assert abs(level - want_level) <= 1e-13 * scale
 
-    # measured 1.8 MiB at both sizes [8.9 and 77.3 MiB with whole-triangle
-    # pair index arrays]
+    # the prefix sums add over all atoms in one pass, so their rounding grows
+    # with the atom count and with heavy atoms; measured at most 2.4e-14 of
+    # the scale over alpha 0.8/1.2/1.6, 2 to 3,000 atoms and seeds 0-5
+    @pytest.mark.parametrize("alpha", [0.8, 1.6])
+    @pytest.mark.parametrize("atoms", [182, 3000])
+    @pytest.mark.parametrize("j_max,n_increments", [(16, 3), (16, 64)])
+    def test_matches_whole_table_across_alpha(self, alpha, atoms, j_max, n_increments):
+        (per_j, level), (want_j, want_level), scale = _pair_sums_and_oracle(
+            alpha, atoms, 5, j_max, n_increments)
+        assert np.max(np.abs(per_j - want_j)) <= 1e-13 * scale
+        assert abs(level - want_level) <= 1e-13 * scale
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(
+        alpha=st.sampled_from((0.8, 1.2, 1.6)),
+        atoms=st.integers(1, 400),
+        j_max=st.integers(0, 20),
+        n_increments=st.integers(1, 80),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_matches_whole_table_property(self, alpha, atoms, j_max, n_increments, seed):
+        (per_j, level), (want_j, want_level), scale = _pair_sums_and_oracle(
+            alpha, atoms, seed, j_max, n_increments)
+        assert np.max(np.abs(per_j - want_j)) <= 1e-13 * scale
+        assert abs(level - want_level) <= 1e-13 * scale
+
+    # measured 0.06 and 0.18 MiB at both counts [1.8 MiB for a pair table
+    # walked in blocks; prefix sums over a whole n_increments x atoms table
+    # traced 3.1 and 8.9 MiB at n_increments 64]
     @pytest.mark.parametrize("atoms", [1000, 3000])
     def test_working_set(self, atoms):
         jm = build_jump_measure(P.alpha, 10.0, atoms, RngStream(5, atoms))
         a = kernel_r(jm.locations, P) * jm.values
-        peak = traced_peak_mib(lambda: analysis._pair_table_sums(jm.locations, a, 3, 3))
-        assert peak <= 2.5
+        for j_count, n_increments in ((3, 3), (17, 64)):
+            peak = traced_peak_mib(
+                lambda: analysis._pair_table_sums(jm.locations, a, j_count, n_increments)
+            )
+            assert peak <= 2.5
 
 
 class TestKernelLimitCheck:

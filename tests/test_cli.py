@@ -587,6 +587,17 @@ class TestCheckCommands:
         assert err.startswith("error:") and "disagree" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_check_identities_nonfinite_pair_sum_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(analysis, "_pair_table_sums",
+                            lambda s, a, j_count, n: (np.full(j_count, np.nan + 0j),
+                                                      complex(np.nan)))
+        rc, out, err = run_main(
+            capsys, ["check-identities", "--trials", "2", "--n-terms", "200"]
+        )
+        assert rc == 2 and out == ""
+        assert err.startswith("error:") and "non-finite pair sum" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_kernel_limit(self, capsys):
         rc, out, _ = run_main(
             capsys,

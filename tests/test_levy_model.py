@@ -258,6 +258,18 @@ class TestPathwiseIntegrals:
         got = double_integrate(jm, lambda s, u: 2.0)
         assert got == pytest.approx(want, rel=1e-15)
 
+    def test_single_integrals_reject_misshapen_kernel(self):
+        # an (n, 1) column would broadcast against the atoms into an n x n sum
+        with pytest.raises(ParameterError, match="shape"):
+            integrate(three_atoms(), lambda s: s[:, None])
+        with pytest.raises(ParameterError, match="shape"):
+            integrate_qv(three_atoms(), lambda s: (s * s)[:, None])
+
+    def test_single_integrals_broadcast_scalar_kernel(self):
+        z = three_atoms().values
+        assert integrate(three_atoms(), lambda s: 2.0) == pytest.approx(2.0 * z.sum(), rel=1e-15)
+        assert integrate_qv(three_atoms(), lambda s: 2.0) == pytest.approx(10.625, rel=1e-15)
+
     def test_empty_and_single_atom(self):
         empty = JumpMeasure(np.array([]), np.array([], complex), 1.0, 1.0)
         single = JumpMeasure(np.array([0.3]), np.array([2.0 + 0j]), 1.0, 1.0)
