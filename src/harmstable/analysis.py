@@ -27,7 +27,7 @@ from .harmonizable import (
     simulate_increments,
     t_nodes_for,
 )
-from .kernels import ModelParams, kernel_h, kernel_hn, kernel_r, nearest_2pi
+from .kernels import ModelParams, kernel_gn, kernel_h, kernel_hn, kernel_r, nearest_2pi
 from .levy_model import build_jump_measure, double_integrate, integrate, integrate_qv
 from .quadrature import QuadratureSpec, axis_cells
 from .rng_stable import RngStream, sample_isotropic_stable
@@ -349,10 +349,12 @@ def identity_suite(
 
     The modulated pair sums come from prefix sums of a exp(ijs), a = r v
     (_pair_table_sums), and the level-m kernel pair sum is their total over
-    j < n_increments. The j = 0 sum is cross-checked against the generic
-    pair-sum evaluator, and a rotating subset of trials recomputes the
-    level-m sum through it as well. A non-finite pair sum or residual raises
-    QuadratureError."""
+    j < n_increments. Every other integral runs on the per-atom factors a,
+    so r is evaluated once per trial: the generic pair walk cross-checks the
+    j = 0 sum with the kernel 1, and on every tenth trial recomputes the
+    level-m sum with the kernel m^(1-2H) g_m(s - u). The sweep thus never
+    builds kernel_hn's mask and r factors; the kernel tests check them. A
+    non-finite pair sum or residual raises QuadratureError."""
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     if j_max < 0 or n_increments < 1:
@@ -369,11 +371,10 @@ def identity_suite(
         jm = build_jump_measure(alpha, half_width, n_terms, rng)
         s = jm.locations
         a = kernel_r(s, p) * jm.values
+        jm_a = replace(jm, values=a)
         pair_j, pair_level = _pair_table_sums(s, a, j_count, n_increments)
 
-        pair_direct = complex(
-            double_integrate(jm, lambda x, y: kernel_r(x, p) * np.conj(kernel_r(y, p)))
-        )
+        pair_direct = complex(double_integrate(jm_a, lambda x, y: 1.0))
         # written so that a NaN fails each comparison rather than passing it
         if not np.all(np.isfinite([*pair_j, pair_level, pair_direct])):
             raise QuadratureError(f"trial {i}: non-finite pair sum")
@@ -382,11 +383,11 @@ def identity_suite(
 
         rels = []
         for j in range(j_count):
-            g = lambda x, _j=j: np.exp(1j * _j * x) * kernel_r(x, p)
-            total = integrate(jm, g)
+            e = lambda x, _j=j: np.exp(1j * _j * x)
+            total = integrate(jm_a, e)
             lhs = total.real**2 + total.imag**2
             pair = pair_direct if j == 0 else complex(pair_j[j])
-            rhs = 2.0 * pair.real + integrate_qv(jm, lambda x, _g=g: np.abs(_g(x)) ** 2)
+            rhs = 2.0 * pair.real + integrate_qv(jm_a, lambda x, _e=e: np.abs(_e(x)) ** 2)
             rels.append(abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0))
 
         y = simulate_increments(jm, n_increments, p)
@@ -394,9 +395,10 @@ def identity_suite(
         q_m = quadratic_statistic(y, n_increments)
         lhs = normalized_error(q_m, u, n_increments, p)
         if i % 10 == 0:
-            pair_m = complex(double_integrate(jm, lambda x, y: kernel_hn(x, y, n_increments, p)))
+            pair_m = complex(double_integrate(jm_a, lambda x, y: kernel_gn(x - y, n_increments)))
         else:
-            pair_m = float(n_increments) ** (1.0 - 2.0 * p.hurst) * pair_level
+            pair_m = pair_level
+        pair_m *= float(n_increments) ** (1.0 - 2.0 * p.hurst)
         rhs = 2.0 * pair_m.real
         # lhs is the rescaled difference of Q_m/m and U, which one heavy atom
         # can make cancel to 1e-7 of either, so the residual is measured

@@ -108,7 +108,7 @@ _FIELDS = {
     "alpha": ("--alpha", _real, "stability index in (0, 2); (0, 2] for iid"),
     "hurst": ("--hurst", _real, "self-similarity index in (0, 1)"),
     "half_width": ("--half-width", _real, "frequency window half-width M"),
-    "n_terms": ("--n-terms", _count, "number of series atoms (integer >= 0)"),
+    "n_terms": ("--n-terms", _count, "number of series atoms (positive integer)"),
     "n": ("--n", _integer, "number of increments (integer)"),
     "n_list": ("--n-list", _int_list, "comma-separated increment counts, e.g. 64,128,256"),
     "replications": ("--reps", _integer, "Monte Carlo replications (integer)"),

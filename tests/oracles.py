@@ -68,23 +68,20 @@ def dense_limit(jm, p, t_nodes: int) -> float:
 
 def pair_table_sums(s: np.ndarray, a: np.ndarray, j_count: int, n_increments: int):
     """Oracle for the identity sweep's prefix-sum route
-    (analysis._pair_table_sums): the rotating table over all pairs k < i at
-    once, base = a_i conj(a_k) rotated by E = exp(i (s_i - s_k))
-    n_increments times, returning the table's sum at each j < j_count and
-    the sum of its partial geometric sums. It walks every pair, so it is
-    independent of the prefix sums' order of addition."""
-    k_idx, i_idx = np.triu_indices(s.size, k=1)
-    base = a[i_idx] * np.conj(a[k_idx])
-    rot = np.exp(1j * (s[i_idx] - s[k_idx]))
-    per_j = np.zeros(j_count, dtype=complex)
-    cur = base.copy()
-    geom = np.zeros_like(base)
-    for j in range(n_increments):
-        if j < j_count:
-            per_j[j] = cur.sum()
-        geom += cur
-        cur *= rot
-    return per_j, complex(geom.sum())
+    (analysis._pair_table_sums): the rotating pair table walked one row at a
+    time. Row i holds base = a_i conj(a_k) for k < i, rotated by
+    E = exp(i (s_i - s_k)) n_increments times; the table's sum at each
+    j < j_count and the total over j < n_increments are returned. It walks
+    every pair, so it is independent of the prefix sums' order of addition,
+    and holds three rows of at most atoms values."""
+    sums = np.zeros(n_increments, dtype=complex)
+    for i in range(1, s.size):
+        cur = a[i] * np.conj(a[:i])
+        rot = np.exp(1j * (s[i] - s[:i]))
+        for j in range(n_increments):
+            sums[j] += cur.sum()
+            cur *= rot
+    return sums[:j_count], complex(sums.sum())
 
 
 def traced_peak_mib(f) -> float:

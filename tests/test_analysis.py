@@ -232,6 +232,22 @@ class TestIdentitySuite:
         with pytest.raises(QuadratureError, match="disagree"):
             identity_suite(1, seed=11, n_terms=200, threads=1)
 
+    def test_recompute_trial_is_independent_of_prefix_sums(self, monkeypatch):
+        # trial 0 takes its level-m pair sum from the pair walk, trial 1 from
+        # the prefix sums, so a perturbed prefix-route level shows only in
+        # runs that reach trial 1
+        pair_table_sums = analysis._pair_table_sums
+
+        def perturbed(s, a, j_count, n_increments):
+            per_j, level = pair_table_sums(s, a, j_count, n_increments)
+            return per_j, (1.0 + 1e-6) * level
+
+        monkeypatch.setattr(analysis, "_pair_table_sums", perturbed)
+        one = identity_suite(1, seed=11, n_terms=200, threads=1)
+        assert one["max_error_representation_residual"] <= 1e-12
+        two = identity_suite(2, seed=11, n_terms=200, threads=1)
+        assert two["max_error_representation_residual"] > 1e-8
+
     def test_nonfinite_pair_sum_raises(self, monkeypatch):
         # a comparison written a > b is False for a NaN, so NaN sums would
         # pass the gate unless they are caught
@@ -259,9 +275,9 @@ def _pair_sums_and_oracle(alpha, atoms, seed, j_max, n_increments):
     j_count = min(j_max + 1, n_increments)
     got = analysis._pair_table_sums(s, a, j_count, n_increments)
     want = pair_table_sums(s, a, j_count, n_increments)
-    k_idx, i_idx = np.triu_indices(atoms, k=1)
     assert got[0].shape == (j_count,)
-    return got, want, float(np.sum(np.abs(a[i_idx] * np.conj(a[k_idx]))))
+    mag = np.abs(a)
+    return got, want, float(mag[1:] @ np.cumsum(mag[:-1]))
 
 
 class TestPairTableSums:

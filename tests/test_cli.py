@@ -304,6 +304,18 @@ class TestMainExitCodes:
         assert rc == 2 and out == ""
         assert err == f"error: tolerance must be positive, got {float(tolerance)}\n"
 
+    # 0 atoms fail the resolution check or build_jump_measure, so the help
+    # text must not advertise them
+    @pytest.mark.parametrize("command", ["simulate", "lln", "clt", "check-identities"])
+    def test_zero_n_terms_returns_2(self, capsys, command):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "--n-terms N_TERMS number of series atoms (positive integer)" in help_text
+        rc, out, err = run_main(capsys, [command, "--n-terms", "0"])
+        assert rc == 2 and out == ""
+        assert err.splitlines() == [err.rstrip("\n")] and err.startswith("error:")
+
     @pytest.mark.parametrize(
         "argv,config,key",
         [

@@ -1,5 +1,6 @@
 """Unit tests for the deterministic kernels."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,10 @@ from hypothesis import strategies as st
 from harmstable import (
     ModelParams,
     ParameterError,
+    RngStream,
     SingularityError,
+    build_jump_measure,
+    double_integrate,
     kernel_gn,
     kernel_h,
     kernel_hn,
@@ -205,6 +209,20 @@ class TestDoubleKernels:
             * np.conj(kernel_r(u, P))
         )
         np.testing.assert_allclose(kernel_hn(s, u, n, P), expected, rtol=1e-12)
+
+    # the identity sweep pairs kernel_gn with per-atom factors r(s) v, so this
+    # keeps kernel_hn's own assembly (mask, scale and r factors) checked at
+    # the sweep's 1,000 atoms
+    @pytest.mark.parametrize("alpha", [0.8, 1.6])
+    @pytest.mark.parametrize("n", [3, 64])
+    def test_hn_pair_sum_matches_per_atom_factors(self, alpha, n):
+        p = ModelParams(alpha=alpha, hurst=0.75)
+        jm = build_jump_measure(alpha, 10.0, 1000, RngStream(16, n))
+        got = double_integrate(jm, lambda x, y: kernel_hn(x, y, n, p))
+        jm_a = dataclasses.replace(jm, values=kernel_r(jm.locations, p) * jm.values)
+        want = float(n) ** (1.0 - 2.0 * p.hurst) * double_integrate(
+            jm_a, lambda x, y: kernel_gn(x - y, n))
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_h_diagonal_prefactor_limit(self):
         # just above the diagonal the prefactor approaches 1
