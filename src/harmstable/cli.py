@@ -223,31 +223,19 @@ def _report_config(cfg: dict) -> dict:
     """Config snapshot embedded in artifacts: everything that affects the
     numbers, nothing that does not (threads, output routing)."""
     skip = {"command", "threads", "out", "format"}
-    return {k: (list(v) if isinstance(v, tuple) else v) for k, v in cfg.items() if k not in skip}
-
-
-def _clean(value):
-    if isinstance(value, (list, tuple)):
-        return [_clean(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _clean(v) for k, v in value.items()}
-    if isinstance(value, np.ndarray):
-        return [_clean(v) for v in value.tolist()]
-    if isinstance(value, (np.floating, np.integer, np.bool_)):
-        return value.item()
-    return value
+    return {k: v for k, v in cfg.items() if k not in skip}
 
 
 def _emit_json(cfg: dict, kind: str, results: dict) -> None:
     report = {
         "kind": kind,
-        "config": _clean(_report_config(cfg)),
-        "results": _clean(results),
+        "config": _report_config(cfg),
+        "results": results,
         "runtime_seconds": None,
         "version": __version__,
     }
     with open(cfg["out"], "w") if cfg["out"] else nullcontext(sys.stdout) as fh:
-        fh.write(json.dumps(report, indent=2) + "\n")
+        fh.write(json.dumps(report, indent=2, default=lambda o: o.tolist()) + "\n")
 
 
 def _write_csv(dest, header, rows) -> None:

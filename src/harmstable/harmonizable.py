@@ -30,7 +30,6 @@ __all__ = [
     "normalized_error",
     "rosenblatt_fast",
     "t_nodes_for",
-    "tail_error_estimate",
 ]
 
 # atoms per block of the increment sum, which bounds its two power tables
@@ -164,14 +163,4 @@ def rosenblatt_fast(jm: JumpMeasure, p: ModelParams, t_nodes: int | None = None)
         sn += np.sin(ds, out=trig) @ b_ri[i0 : i0 + m]
     total += float(w_pair @ np.sum(c**2 + sn**2, axis=1))
     return total - diag * 0.5 * float(np.sum(w))
-
-
-def tail_error_estimate(p: ModelParams, half_width: float) -> float:
-    """Window-truncation surrogate for the limit U: the alpha-energy of r outside
-    [-half_width, half_width], |sin(s/2)|^alpha replaced by its mean E|cos|^alpha."""
-    if half_width < 1.0:
-        raise ParameterError(f"half_width must be at least 1, got {half_width}")
-    a, ah = p.alpha, p.alpha * p.hurst
-    cos_moment = math.gamma((a + 1.0) / 2.0) / (math.sqrt(math.pi) * math.gamma(a / 2.0 + 1.0))
-    return 2.0 ** (a + 1.0) * cos_moment * half_width ** (-ah) / ah
 

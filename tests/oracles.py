@@ -66,14 +66,14 @@ def dense_limit(jm, p, t_nodes: int) -> float:
     return float(0.5 * w @ np.abs(big_a) ** 2 - np.sum(np.abs(a) ** 2))
 
 
-def pair_table_sums(s: np.ndarray, a: np.ndarray, j_count: int, n_increments: int):
+def pair_table_sums(s: np.ndarray, a: np.ndarray, n_increments: int) -> np.ndarray:
     """Oracle for the identity sweep's prefix-sum route
     (analysis._pair_table_sums): the rotating pair table walked one row at a
     time. Row i holds base = a_i conj(a_k) for k < i, rotated by
     E = exp(i (s_i - s_k)) n_increments times; the table's sum at each
-    j < j_count and the total over j < n_increments are returned. It walks
-    every pair, so it is independent of the prefix sums' order of addition,
-    and holds three rows of at most atoms values."""
+    j < n_increments is returned. It walks every pair, so it is independent
+    of the prefix sums' order of addition, and holds three rows of at most
+    atoms values."""
     sums = np.zeros(n_increments, dtype=complex)
     for i in range(1, s.size):
         cur = a[i] * np.conj(a[:i])
@@ -81,7 +81,7 @@ def pair_table_sums(s: np.ndarray, a: np.ndarray, j_count: int, n_increments: in
         for j in range(n_increments):
             sums[j] += cur.sum()
             cur *= rot
-    return sums[:j_count], complex(sums.sum())
+    return sums
 
 
 def traced_peak_mib(f) -> float:

@@ -67,7 +67,6 @@ def test_exact_identity_suite(criterion_recorder):
         alphas=(0.8, 1.2, 1.6),
         half_width=10.0,
         n_terms=1000,
-        j_max=16,
         n_increments=64,
         threads=0,
     )

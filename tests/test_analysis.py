@@ -173,8 +173,7 @@ class TestIidStableQvExperiment:
 
 class TestIdentitySuite:
     def test_residuals_at_machine_precision(self):
-        out = identity_suite(6, seed=11, n_terms=200, j_max=4, n_increments=16,
-                             threads=1)
+        out = identity_suite(6, seed=11, n_terms=200, n_increments=16, threads=1)
         assert out["max_square_decomposition_residual"] < 1e-12
         assert out["max_error_representation_residual"] < 1e-12
         assert out["trials"] == 6 and out["seed"] == 11
@@ -206,14 +205,18 @@ class TestIdentitySuite:
         assert out["max_error_representation_residual"] <= 1e-12
 
     def test_perturbed_increment_exceeds_gate(self, monkeypatch):
-        def perturbed(jm, n, p):
-            y = simulate_increments(jm, n, p)
-            y[np.argmax(np.abs(y))] *= 1.0 + 1e-6
-            return y
+        # the largest Y_j overall moves Q_m; the largest Y_j with j <= 16 is
+        # one that the square decomposition reads
+        for head, key in ((None, "max_error_representation_residual"),
+                          (17, "max_square_decomposition_residual")):
+            def perturbed(jm, n, p, head=head):
+                y = simulate_increments(jm, n, p)
+                y[np.argmax(np.abs(y[:head]))] *= 1.0 + 1e-6
+                return y
 
-        monkeypatch.setattr(analysis, "simulate_increments", perturbed)
-        out = identity_suite(1, seed=58000, half_width=10.0, n_terms=1000, threads=1)
-        assert out["max_error_representation_residual"] > 1e-8
+            monkeypatch.setattr(analysis, "simulate_increments", perturbed)
+            out = identity_suite(1, seed=58000, half_width=10.0, n_terms=1000, threads=1)
+            assert out[key] > 1e-8
 
     def test_rejects_bad_counts(self):
         with pytest.raises(ParameterError):
@@ -238,9 +241,10 @@ class TestIdentitySuite:
         # runs that reach trial 1
         pair_table_sums = analysis._pair_table_sums
 
-        def perturbed(s, a, j_count, n_increments):
-            per_j, level = pair_table_sums(s, a, j_count, n_increments)
-            return per_j, (1.0 + 1e-6) * level
+        def perturbed(s, a, n_increments):
+            per_j = pair_table_sums(s, a, n_increments)
+            per_j[1:] *= 1.0 + 1e-6  # j = 0 stays, or the cross-check raises
+            return per_j
 
         monkeypatch.setattr(analysis, "_pair_table_sums", perturbed)
         one = identity_suite(1, seed=11, n_terms=200, threads=1)
@@ -251,8 +255,8 @@ class TestIdentitySuite:
     def test_nonfinite_pair_sum_raises(self, monkeypatch):
         # a comparison written a > b is False for a NaN, so NaN sums would
         # pass the gate unless they are caught
-        def nan_sums(s, a, j_count, n_increments):
-            return np.full(j_count, np.nan + 0j), complex(np.nan)
+        def nan_sums(s, a, n_increments):
+            return np.full(n_increments, np.nan + 0j)
 
         monkeypatch.setattr(analysis, "_pair_table_sums", nan_sums)
         with pytest.raises(QuadratureError, match="non-finite pair sum"):
@@ -265,59 +269,61 @@ class TestIdentitySuite:
             identity_suite(1, seed=11, n_terms=200, threads=1)
 
 
-def _pair_sums_and_oracle(alpha, atoms, seed, j_max, n_increments):
+def _pair_sums_and_oracle(alpha, atoms, seed, n_increments):
     """The production pair sums, the oracle's, and the bounds' scale
     sum over the pairs k < i of |a_i conj(a_k)|, on one random measure."""
     p = ModelParams(alpha=alpha, hurst=0.75)
     jm = build_jump_measure(alpha, 10.0, atoms, RngStream(seed, atoms))
     s = jm.locations
     a = kernel_r(s, p) * jm.values
-    j_count = min(j_max + 1, n_increments)
-    got = analysis._pair_table_sums(s, a, j_count, n_increments)
-    want = pair_table_sums(s, a, j_count, n_increments)
-    assert got[0].shape == (j_count,)
+    got = analysis._pair_table_sums(s, a, n_increments)
+    want = pair_table_sums(s, a, n_increments)
+    assert got.shape == (n_increments,)
     mag = np.abs(a)
     return got, want, float(mag[1:] @ np.cumsum(mag[:-1]))
 
 
+# ids "16-<n_increments>" keep these cases' names stable; 16 was the j_max
+# the sums took before they returned every j
+N_INCREMENTS = [pytest.param(3, id="16-3"), pytest.param(64, id="16-64")]
+
+
 class TestPairTableSums:
-    # 1 atom has no pair and 2 have one; 3,000 atoms give 4.5 million pairs
+    # 1 atom has no pair and 2 have one; 3,000 atoms give 4.5 million pairs;
+    # the level-m sum is the total over j
     @pytest.mark.parametrize("atoms", [1, 2, 181, 182, 1000, 3000])
-    @pytest.mark.parametrize("j_max,n_increments", [(16, 3), (16, 64)])
-    def test_matches_whole_table(self, atoms, j_max, n_increments):
-        (per_j, level), (want_j, want_level), scale = _pair_sums_and_oracle(
-            P.alpha, atoms, 5, j_max, n_increments)
+    @pytest.mark.parametrize("n_increments", N_INCREMENTS)
+    def test_matches_whole_table(self, atoms, n_increments):
+        per_j, want, scale = _pair_sums_and_oracle(P.alpha, atoms, 5, n_increments)
         if atoms == 1:
-            assert not np.any(per_j) and level == 0.0
+            assert not np.any(per_j)
             return
-        assert np.max(np.abs(per_j - want_j)) <= 1e-13 * scale
-        assert abs(level - want_level) <= 1e-13 * scale
+        assert np.max(np.abs(per_j - want)) <= 1e-13 * scale
+        assert abs(per_j.sum() - want.sum()) <= 1e-13 * scale
 
     # the prefix sums add over all atoms in one pass, so their rounding grows
-    # with the atom count and with heavy atoms; measured at most 2.4e-14 of
-    # the scale over alpha 0.8/1.2/1.6, 2 to 3,000 atoms and seeds 0-5
+    # with the atom count and with heavy atoms; measured at most 1.1e-14 of
+    # the scale at every j < 64 and in the total, over alpha 0.8/1.2/1.6,
+    # 2 to 3,000 atoms and seeds 0-5
     @pytest.mark.parametrize("alpha", [0.8, 1.6])
     @pytest.mark.parametrize("atoms", [182, 3000])
-    @pytest.mark.parametrize("j_max,n_increments", [(16, 3), (16, 64)])
-    def test_matches_whole_table_across_alpha(self, alpha, atoms, j_max, n_increments):
-        (per_j, level), (want_j, want_level), scale = _pair_sums_and_oracle(
-            alpha, atoms, 5, j_max, n_increments)
-        assert np.max(np.abs(per_j - want_j)) <= 1e-13 * scale
-        assert abs(level - want_level) <= 1e-13 * scale
+    @pytest.mark.parametrize("n_increments", N_INCREMENTS)
+    def test_matches_whole_table_across_alpha(self, alpha, atoms, n_increments):
+        per_j, want, scale = _pair_sums_and_oracle(alpha, atoms, 5, n_increments)
+        assert np.max(np.abs(per_j - want)) <= 1e-13 * scale
+        assert abs(per_j.sum() - want.sum()) <= 1e-13 * scale
 
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(
         alpha=st.sampled_from((0.8, 1.2, 1.6)),
         atoms=st.integers(1, 400),
-        j_max=st.integers(0, 20),
         n_increments=st.integers(1, 80),
         seed=st.integers(0, 2**31 - 1),
     )
-    def test_matches_whole_table_property(self, alpha, atoms, j_max, n_increments, seed):
-        (per_j, level), (want_j, want_level), scale = _pair_sums_and_oracle(
-            alpha, atoms, seed, j_max, n_increments)
-        assert np.max(np.abs(per_j - want_j)) <= 1e-13 * scale
-        assert abs(level - want_level) <= 1e-13 * scale
+    def test_matches_whole_table_property(self, alpha, atoms, n_increments, seed):
+        per_j, want, scale = _pair_sums_and_oracle(alpha, atoms, seed, n_increments)
+        assert np.max(np.abs(per_j - want)) <= 1e-13 * scale
+        assert abs(per_j.sum() - want.sum()) <= 1e-13 * scale
 
     # measured 0.06 and 0.18 MiB at both counts [1.8 MiB for a pair table
     # walked in blocks; prefix sums over a whole n_increments x atoms table
@@ -326,9 +332,9 @@ class TestPairTableSums:
     def test_working_set(self, atoms):
         jm = build_jump_measure(P.alpha, 10.0, atoms, RngStream(5, atoms))
         a = kernel_r(jm.locations, P) * jm.values
-        for j_count, n_increments in ((3, 3), (17, 64)):
+        for n_increments in (3, 64):
             peak = traced_peak_mib(
-                lambda: analysis._pair_table_sums(jm.locations, a, j_count, n_increments)
+                lambda: analysis._pair_table_sums(jm.locations, a, n_increments)
             )
             assert peak <= 2.5
 

@@ -601,8 +601,7 @@ class TestCheckCommands:
 
     def test_check_identities_nonfinite_pair_sum_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr(analysis, "_pair_table_sums",
-                            lambda s, a, j_count, n: (np.full(j_count, np.nan + 0j),
-                                                      complex(np.nan)))
+                            lambda s, a, n: np.full(n, np.nan + 0j))
         rc, out, err = run_main(
             capsys, ["check-identities", "--trials", "2", "--n-terms", "200"]
         )

@@ -1,12 +1,9 @@
 """Unit tests for coupled increments, Q_n, and the realized limit objects."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 
 from harmstable import (
     JumpMeasure,
@@ -26,7 +23,6 @@ from harmstable import (
     rosenblatt_fast,
     simulate_increments,
     t_nodes_for,
-    tail_error_estimate,
 )
 from oracles import dense_increments, dense_limit, traced_peak_mib
 
@@ -271,50 +267,6 @@ class TestNodeRule:
         oracle = pair_sum_oracle(jm, p)
         scale = max(abs(oracle), 1e-6 * diagonal_scale(jm, p))
         assert abs(rosenblatt_fast(jm, p) - oracle) <= 1e-11 * scale
-
-
-def cos_moment(alpha: float) -> float:
-    """E|cos theta|^alpha for uniform theta, by quadrature."""
-    return quad(lambda t: abs(math.cos(t)) ** alpha, 0.0, math.pi)[0] / math.pi
-
-
-def alpha_energy_outside(p: ModelParams, half_width: float, periods: int = 200) -> float:
-    """Integral of |r(s)|^alpha over |s| > M: quadrature period by period out
-    to L = M + 2 pi periods, and the period-mean tail beyond L (800 periods
-    in place of 200 move the total by under 7e-5 relative)."""
-    a = p.alpha
-
-    def r_alpha(s):
-        return abs((1.0 - np.exp(-1j * s)) / (1j * s)) ** a * s ** (a * p.gamma)
-
-    edges = half_width + 2.0 * math.pi * np.arange(periods + 1)
-    head = sum(quad(r_alpha, lo, hi)[0] for lo, hi in zip(edges[:-1], edges[1:]))
-    ah = a * p.hurst
-    tail = 2.0**a * cos_moment(a) * edges[-1] ** (-ah) / ah
-    return 2.0 * (head + tail)
-
-
-class TestTailErrorEstimate:
-    @pytest.mark.parametrize("half_width", [20.0, 50.0, 200.0])
-    def test_matches_quadrature(self, half_width):
-        rel = abs(tail_error_estimate(P, half_width) / alpha_energy_outside(P, half_width) - 1.0)
-        # replacing |sin(s/2)|^alpha by its period mean E over s > M is off by
-        # at most aH W / (E M) relative, with W half the L1 norm of
-        # |sin(s/2)|^alpha - E over a period: 6.7% at M = 20 (the surrogate
-        # reads 3.0% low there), 2.7% at 50 and 0.67% at 200
-        e = cos_moment(P.alpha)
-        w = 0.5 * quad(lambda s: abs(abs(math.sin(s / 2.0)) ** P.alpha - e), 0.0, 2.0 * math.pi)[0]
-        bound = P.alpha * P.hurst * w / (e * half_width)
-        assert rel <= bound
-        if half_width >= 50.0:
-            assert rel <= 0.02
-
-    def test_decreases_in_window(self):
-        assert tail_error_estimate(P, 200.0) < tail_error_estimate(P, 50.0)
-
-    def test_rejects_small_window(self):
-        with pytest.raises(ParameterError):
-            tail_error_estimate(P, 0.5)
 
 
 class TestWorkingSet:
