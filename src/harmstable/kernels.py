@@ -7,7 +7,8 @@ exponential ratios are evaluated through the half-angle rewrite
 
 which is free of cancellation near x = 0 and carries its removable limit 1
 automatically, from one complex exponential h = exp(ix/2) per point.
-All functions accept scalars or numpy arrays and broadcast.
+All functions accept scalars or numpy arrays and broadcast; a scalar input
+gives a numpy scalar, through out[()] of the 0-d result.
 """
 
 from __future__ import annotations
@@ -67,15 +68,6 @@ class ModelParams:
         return self.hurst > 0.5 and self.alpha * (1.0 - self.hurst) < 0.5
 
 
-def _as_array(x) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(x, dtype=float)
-    return arr, arr.ndim == 0
-
-
-def _maybe_scalar(arr: np.ndarray, scalar: bool):
-    return arr[()] if scalar else arr
-
-
 def half_angle_exp(s: np.ndarray) -> np.ndarray:
     """h = exp(i s/2) of a real array, evaluated in its own complex buffer."""
     h = np.multiply(s, 0.5j, out=np.empty(np.shape(s), dtype=complex))
@@ -103,9 +95,8 @@ def kernel_r(s, p: ModelParams):
     For gamma >= 0 evaluation at s = 0 returns 0 (the limit for gamma > 0 and
     the convention at gamma == 0); for gamma < 0 it raises SingularityError.
     """
-    arr, scalar = _as_array(s)
-    out = r_from_half_angle(arr, half_angle_exp(arr), p.gamma)
-    return _maybe_scalar(out, scalar)
+    arr = np.asarray(s, dtype=float)
+    return r_from_half_angle(arr, half_angle_exp(arr), p.gamma)[()]
 
 
 def kernel_gn(x, n: int):
@@ -119,7 +110,7 @@ def kernel_gn(x, n: int):
     """
     if n < 1:
         raise ParameterError(f"n must be a positive integer, got {n}")
-    arr, scalar = _as_array(x)
+    arr = np.asarray(x, dtype=float)
     k = np.round(arr / TWO_PI)
     y = arr - TWO_PI * k
     half_lo = -0.5 * TWO_PI_LO * k
@@ -127,24 +118,30 @@ def kernel_gn(x, n: int):
     den = np.sin(0.5 * y) + half_lo * np.cos(0.5 * y)
     ratio = np.divide(num, den, out=np.full(y.shape, float(n)), where=den != 0.0)
     out = np.exp(0.5j * (n - 1) * y) * ratio
-    return _maybe_scalar(out, scalar)
+    return out[()]
+
+
+def _below_diagonal(s, u, pair):
+    """Complex pair kernel of broadcast s and u: pair(sv, uv) on the points
+    with u < s, which are all pair ever sees, and 0 elsewhere."""
+    s_b, u_b = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(u, dtype=float))
+    out = np.zeros(s_b.shape, dtype=complex)
+    mask = u_b < s_b
+    if np.any(mask):
+        out[mask] = pair(s_b[mask], u_b[mask])
+    return out[()]
 
 
 def kernel_hn(s, u, n: int, p: ModelParams):
     """Pre-limit double kernel n^{1-2H} g_n(s-u) r(s) conj(r(u)) 1_{u<s}."""
     if n < 1:
         raise ParameterError(f"n must be a positive integer, got {n}")
-    s_arr, s_scalar = _as_array(s)
-    u_arr, u_scalar = _as_array(u)
-    s_b, u_b = np.broadcast_arrays(s_arr, u_arr)
-    out = np.zeros(s_b.shape, dtype=complex)
-    mask = u_b < s_b
-    if np.any(mask):
-        sv = s_b[mask]
-        uv = u_b[mask]
-        scale = float(n) ** (1.0 - 2.0 * p.hurst)
-        out[mask] = scale * kernel_gn(sv - uv, n) * kernel_r(sv, p) * np.conj(kernel_r(uv, p))
-    return _maybe_scalar(out, s_scalar and u_scalar)
+    scale = float(n) ** (1.0 - 2.0 * p.hurst)
+
+    def pair(sv, uv):
+        return scale * kernel_gn(sv - uv, n) * kernel_r(sv, p) * np.conj(kernel_r(uv, p))
+
+    return _below_diagonal(s, u, pair)
 
 
 def kernel_h(s, u, p: ModelParams):
@@ -155,22 +152,17 @@ def kernel_h(s, u, p: ModelParams):
     limit 1 on the diagonal; the power factor is singular on the axes when
     gamma < 0.
     """
-    s_arr, s_scalar = _as_array(s)
-    u_arr, u_scalar = _as_array(u)
-    s_b, u_b = np.broadcast_arrays(s_arr, u_arr)
-    out = np.zeros(s_b.shape, dtype=complex)
-    mask = u_b < s_b
-    if np.any(mask):
-        sv = s_b[mask]
-        uv = u_b[mask]
-        gamma = p.gamma
+    gamma = p.gamma
+
+    def pair(sv, uv):
         prod = np.abs(sv * uv)
         if gamma < 0.0 and np.any(prod < ZERO_FLOOR):
             raise SingularityError("kernel_h is singular on the axes for gamma < 0")
         # (e^{ix}-1)/(ix) is the conjugate of r's prefactor, r at gamma = 0
         x = sv - uv
-        out[mask] = np.conj(r_from_half_angle(x, half_angle_exp(x), 0.0)) * prod**gamma
-    return _maybe_scalar(out, s_scalar and u_scalar)
+        return np.conj(r_from_half_angle(x, half_angle_exp(x), 0.0)) * prod**gamma
+
+    return _below_diagonal(s, u, pair)
 
 
 def phi_qv(s, p: ModelParams):
@@ -178,12 +170,12 @@ def phi_qv(s, p: ModelParams):
 
     Evaluated as 2 sin^2(s/2) |s|^{-2H-2/alpha}; s = 0 always raises.
     """
-    arr, scalar = _as_array(s)
+    arr = np.asarray(s, dtype=float)
     if np.any(np.abs(arr) < ZERO_FLOOR):
         raise SingularityError("phi_qv is singular at s = 0")
     expo = -2.0 * p.hurst - 2.0 / p.alpha
     out = 2.0 * np.sin(0.5 * arr) ** 2 * np.abs(arr) ** expo
-    return _maybe_scalar(out, scalar)
+    return out[()]
 
 
 def psi_norm_constant(r_exp: float, alpha: float) -> float:
@@ -201,21 +193,21 @@ def psi(s, r_exp: float, alpha: float):
     """Reference envelope: constant on |s| <= 1, |s|^{-r_exp} decay outside,
     normalized so that psi^alpha integrates to 1 over the line."""
     c = psi_norm_constant(r_exp, alpha)
-    arr, scalar = _as_array(s)
+    arr = np.asarray(s, dtype=float)
     a = np.abs(arr)
     out = np.ones(a.shape)
     tail = a > 1.0
     out[tail] = a[tail] ** (-r_exp)
     out *= c
-    return _maybe_scalar(out, scalar)
+    return out[()]
 
 
 def nearest_2pi(x):
     """Nearest multiple of 2*pi to x >= 0, ties resolved to the smaller one."""
-    arr, scalar = _as_array(x)
+    arr = np.asarray(x, dtype=float)
     if np.any(arr < 0.0):
         raise ParameterError("nearest_2pi requires nonnegative input")
     j = np.ceil(arr / TWO_PI - 0.5)
     out = TWO_PI * j
-    return _maybe_scalar(out, scalar)
+    return out[()]
 

@@ -8,8 +8,8 @@ the calibration constant converts the unit series to the sampler scale
 convention of rng_stable (see series_unit_scale below) and carries the
 (2M)^(1/alpha) window factor.
 
-Single and double integrals against the measure are plain atom sums, so
-algebraic identities between them hold exactly, not just in the limit.
+Integrals against the measure are plain atom sums, so algebraic identities
+between them hold exactly, not just in the limit.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .rng_stable import RngStream, poisson_arrivals
 __all__ = [
     "JumpMeasure",
     "build_jump_measure",
-    "integrate",
     "integrate_qv",
     "double_integrate",
     "condition_value",
@@ -76,10 +75,11 @@ class JumpMeasure:
     def __post_init__(self) -> None:
         if self.locations.shape != self.values.shape or self.locations.ndim != 1:
             raise ParameterError("locations and values must be aligned 1-d arrays")
-        if self.locations.size and (
-            np.any(self.locations[1:] <= self.locations[:-1])
-            or abs(self.locations[0]) > self.half_width
-            or abs(self.locations[-1]) > self.half_width
+        # written so that a NaN location or half_width fails the check
+        if self.locations.size and not (
+            np.all(self.locations[1:] > self.locations[:-1])
+            and abs(self.locations[0]) <= self.half_width
+            and abs(self.locations[-1]) <= self.half_width
         ):
             raise ParameterError(
                 "locations must be strictly increasing inside [-half_width, half_width]"
@@ -234,18 +234,10 @@ def _pair_blocks(n: int):
         yield i, np.arange(p0, p1) - start[i]
 
 
-def integrate(jm: JumpMeasure, f) -> complex:
-    """Single integral of f against the measure: sum_i f(s_i) * value_i.
-    f must return one value per atom, or a scalar."""
-    if jm.n_terms == 0:
-        return 0j
-    vals = _kernel_values(f, "arity-1 kernel", jm.locations)
-    return complex(np.sum(vals * jm.values))
-
-
 def integrate_qv(jm: JumpMeasure, phi) -> float:
     """Integral of phi against the pathwise quadratic variation measure:
-    sum_i phi(s_i) * |value_i|^2, with phi shaped as f of integrate."""
+    sum_i phi(s_i) * |value_i|^2. phi must return one value per atom, or a
+    scalar."""
     if jm.n_terms == 0:
         return 0.0
     vals = np.asarray(_kernel_values(phi, "quadratic-variation integrand", jm.locations), float)

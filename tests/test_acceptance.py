@@ -20,7 +20,6 @@ from harmstable import (
     envelope_quadrature,
     identity_suite,
     iid_stable_qv_experiment,
-    integrate,
     kernel_gn,
     kernel_h,
     kernel_hn,
@@ -31,6 +30,7 @@ from harmstable import (
     run_clt_experiment,
     run_lln_experiment,
     sample_isotropic_stable,
+    simulate_increments,
 )
 from harmstable.cli import main
 from oracles import gn_bound
@@ -240,8 +240,9 @@ def test_existence_certifier(criterion_recorder):
 
 
 def test_sampler_cross_validation(criterion_recorder):
-    # the same single integral of r sampled two independent ways: the atomic
-    # series realization versus direct stable increments on a fine grid
+    # the same single integral of r, the increment Y_0, sampled two
+    # independent ways: the atomic series realization versus direct stable
+    # increments on a fine grid
     started = time.monotonic()
     half_width, n_terms, draws = 10.0, 10000, 2000
 
@@ -249,7 +250,7 @@ def test_sampler_cross_validation(criterion_recorder):
     for i in range(draws):
         rng = RngStream(master_seed=CROSS_SEEDS[0], stream_index=i)
         jm = build_jump_measure(P.alpha, half_width, n_terms, rng)
-        series[i] = complex(integrate(jm, lambda s: kernel_r(s, P))).real
+        series[i] = simulate_increments(jm, 1, P)[0].real
 
     cells = 65536
     edges = np.linspace(-half_width, half_width, cells + 1)

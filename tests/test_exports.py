@@ -1,7 +1,10 @@
 """Consistency of the package's export lists."""
 
+import ast
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -31,3 +34,19 @@ def test_package_exports_are_the_union_of_submodule_exports():
     assert set(harmstable.__all__) == set(union)
     for attr, obj in union.items():
         assert getattr(harmstable, attr) is obj, attr
+
+
+def test_readme_imports_are_exported():
+    # every name a README python block imports from the package is public
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+    imported = [
+        alias.name
+        for block in blocks
+        for node in ast.walk(ast.parse(block))
+        if isinstance(node, ast.ImportFrom) and node.module == "harmstable"
+        for alias in node.names
+    ]
+    assert imported
+    missing = [name for name in imported if name not in harmstable.__all__]
+    assert not missing, missing

@@ -68,6 +68,26 @@ MAGNITUDES = st.one_of(
 )
 
 
+# every kernel of the module at one scalar point, below the diagonal for the
+# pair kernels
+SCALAR_CALLS = {
+    "kernel_r": lambda: kernel_r(1.0, P),
+    "kernel_gn": lambda: kernel_gn(1.0, 8),
+    "kernel_hn": lambda: kernel_hn(1.0, 0.5, 8, P),
+    "kernel_h": lambda: kernel_h(1.0, 0.5, P),
+    "phi_qv": lambda: phi_qv(1.0, P),
+    "psi": lambda: psi(2.0, 2.0, 1.2),
+    "nearest_2pi": lambda: nearest_2pi(7.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_CALLS))
+def test_scalar_input_gives_numpy_scalar(name):
+    value = SCALAR_CALLS[name]()
+    assert isinstance(value, np.generic)
+    assert not isinstance(value, np.ndarray)
+
+
 class TestKernelR:
     def test_matches_direct_formula_away_from_zero(self, rng):
         s = rng.uniform(0.05, 40.0, size=500) * rng.choice([-1.0, 1.0], size=500)
@@ -196,6 +216,33 @@ class TestDoubleKernels:
         u = s + rng.uniform(0.0, 5.0, size=300)  # u >= s
         assert np.all(kernel_hn(s, u, 16, P) == 0.0)
         assert np.all(kernel_h(s, u, P) == 0.0)
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [lambda s, u: kernel_h(s, u, P), lambda s, u: kernel_hn(s, u, 16, P)],
+        ids=["kernel_h", "kernel_hn"],
+    )
+    def test_scalar_s_broadcasts_against_straddling_u(self, kernel):
+        s = 1.5
+        u = np.array([-2.0, 0.7, 1.5, 1.5 + 1e-12, 3.0])
+        got = kernel(s, u)
+        assert got.shape == u.shape
+        assert np.all(got[u >= s] == 0.0)
+        below = u < s
+        assert np.all(got[below] != 0.0)
+        want = [complex(kernel(s, uk)) for uk in u[below]]
+        np.testing.assert_allclose(got[below], want, rtol=1e-14)
+        # on the diagonal a scalar pair is a numpy scalar 0
+        on_diagonal = kernel(s, s)
+        assert on_diagonal == 0.0 and np.ndim(on_diagonal) == 0
+
+    def test_h_axis_above_diagonal_is_zero(self):
+        # the axis check sees only points below the diagonal
+        assert P.gamma < 0.0
+        assert kernel_h(0.0, 1.0, P) == 0.0
+        got = kernel_h(np.array([0.0, 2.0]), np.array([1.0, 0.5]), P)
+        assert got[0] == 0.0
+        assert got[1] == pytest.approx(kernel_h(2.0, 0.5, P), rel=1e-14)
 
     def test_hn_composition(self, rng):
         s = rng.uniform(0.5, 8.0, size=100)

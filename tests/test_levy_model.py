@@ -17,7 +17,6 @@ from harmstable import (
     build_jump_measure,
     condition_value,
     double_integrate,
-    integrate,
     integrate_qv,
     kernel_r,
     poisson_arrivals,
@@ -92,12 +91,16 @@ class TestJumpMeasureValidation:
             JumpMeasure(np.zeros(3), np.zeros(4, complex), 1.0, 1.0)
 
     def test_rejects_unsorted(self):
-        with pytest.raises(ParameterError):
-            JumpMeasure(np.array([0.5, 0.5]), np.zeros(2, complex), 1.0, 1.0)
+        # a NaN location is not strictly increasing, wherever it sits
+        for locations in ([0.5, 0.5], [0.0, np.nan, 0.5], [np.nan, 0.5], [0.0, np.nan]):
+            with pytest.raises(ParameterError):
+                JumpMeasure(np.array(locations), np.ones(len(locations), complex), 1.0, 1.0)
 
     def test_rejects_out_of_window(self):
-        with pytest.raises(ParameterError):
-            JumpMeasure(np.array([-3.0, 0.5]), np.zeros(2, complex), 1.0, 1.0)
+        # nothing lies inside a NaN window, and a NaN lies inside none
+        for locations, half_width in (([-3.0, 0.5], 1.0), ([np.nan], 1.0), ([-0.5, 0.5], np.nan)):
+            with pytest.raises(ParameterError):
+                JumpMeasure(np.array(locations), np.ones(len(locations), complex), half_width, 1.0)
 
 
 class TestBuildJumpMeasure:
@@ -209,10 +212,6 @@ class TestSeriesUnitScale:
 
 
 class TestPathwiseIntegrals:
-    def test_integrate_hand_value(self):
-        got = integrate(three_atoms(), lambda s: s)
-        assert got == pytest.approx(-0.5 - 2.25j, rel=1e-15)
-
     def test_integrate_qv_hand_value(self):
         got = integrate_qv(three_atoms(), lambda s: s * s)
         assert got == pytest.approx(5.3125, rel=1e-15)
@@ -261,19 +260,16 @@ class TestPathwiseIntegrals:
     def test_single_integrals_reject_misshapen_kernel(self):
         # an (n, 1) column would broadcast against the atoms into an n x n sum
         with pytest.raises(ParameterError, match="shape"):
-            integrate(three_atoms(), lambda s: s[:, None])
-        with pytest.raises(ParameterError, match="shape"):
             integrate_qv(three_atoms(), lambda s: (s * s)[:, None])
+        with pytest.raises(ParameterError, match="shape"):
+            integrate_qv(three_atoms(), lambda s: np.ones((1, 3)))
 
     def test_single_integrals_broadcast_scalar_kernel(self):
-        z = three_atoms().values
-        assert integrate(three_atoms(), lambda s: 2.0) == pytest.approx(2.0 * z.sum(), rel=1e-15)
         assert integrate_qv(three_atoms(), lambda s: 2.0) == pytest.approx(10.625, rel=1e-15)
 
     def test_empty_and_single_atom(self):
         empty = JumpMeasure(np.array([]), np.array([], complex), 1.0, 1.0)
         single = JumpMeasure(np.array([0.3]), np.array([2.0 + 0j]), 1.0, 1.0)
-        assert integrate(empty, lambda s: s) == 0j
         assert integrate_qv(empty, lambda s: s) == 0.0
         assert integrate_qv(empty, lambda s: np.ones_like(s)) == 0.0
         assert double_integrate(empty, lambda s, u: s) == 0j
@@ -282,7 +278,7 @@ class TestPathwiseIntegrals:
 
     def test_nonfinite_kernel_reports_location(self):
         with pytest.raises(SingularityError, match="0.5"):
-            integrate(three_atoms(), lambda s: np.where(s == 0.5, np.nan, 1.0))
+            integrate_qv(three_atoms(), lambda s: np.where(s == 0.5, np.nan, 1.0))
         with pytest.raises(SingularityError):
             double_integrate(
                 three_atoms(), lambda s, u: np.where(s > 1.0, np.inf, 1.0)
