@@ -468,14 +468,9 @@ def kernel_limit_check(s: float, u: float, p: ModelParams, n_list) -> np.ndarray
     return np.array(devs)
 
 
-def _band_integral(s: float, r1: float, lam: float) -> float:
-    """Exact inner integral of |u|^(-r1) over the width-1 band below s."""
-    lo = max(s - 1.0, -lam)
-    if lo >= s:
-        return 0.0
-    e = 1.0 - r1
-    anti = lambda u: np.sign(u) * np.abs(u) ** e / e
-    return float(anti(s) - anti(lo))
+# outer cells per block of envelope_quadrature's far part: a block's
+# row x edge arrays stay near 200 KiB on the default grid
+_ROW_BLOCK = 32
 
 
 def envelope_quadrature(
@@ -491,36 +486,57 @@ def envelope_quadrature(
     product grid cannot resolve the width-1 band once cells grow past unit
     width. The value sequence stabilizes when the envelope is integrable
     and keeps growing when it is not, which is the divergence certificate
-    used by the existence checks."""
-    if r1 <= 0.0 or r2 <= 0.0:
+    used by the existence checks.
+
+    The far part walks the outer cells _ROW_BLOCK rows at a time. Row s holds
+    the merged ladders around 0 and s - 1, sorted, and keeps the cells that
+    axis_cells would keep for those two anchors (a repeated edge makes a
+    zero-width cell, which the width test drops) with midpoint <= s - 1.
+    Every row takes the ladder length of the largest |s - 1|; the extra steps
+    only add edges outside [-L, L]."""
+    # written so that a NaN exponent or window fails the checks
+    if not (r1 > 0.0 and r2 > 0.0):
         raise ParameterError(f"r1 and r2 must be positive, got r1={r1}, r2={r2}")
     if r1 >= 1.0:
         raise QuadratureError(
             "the band integral diverges at u=0 once r1 >= 1; no finite window value exists"
         )
     lams = tuple(float(x) for x in lam_list)
-    if len(lams) < 1 or any(x <= 1.0 for x in lams):
-        raise ParameterError(f"lam_list must contain reals > 1, got {lam_list}")
+    if len(lams) < 1 or not all(1.0 < x < np.inf for x in lams):
+        raise ParameterError(f"lam_list must contain finite reals > 1, got {lam_list}")
+    if any(b <= a for a, b in zip(lams, lams[1:])):
+        raise ParameterError(f"lam_list must be strictly increasing, got {lam_list}")
     # the closed-form band makes cost linear in resolution, so the default
     # can afford to be finer than the generic product grid
     base = quad if quad is not None else QuadratureSpec(cells_per_decade=16)
+    eps = base.inner_cutoff
+    ratio = 10.0 ** (1.0 / base.cells_per_decade)
+    e = 1.0 - r1
+    anti = lambda u: np.sign(u) * np.abs(u) ** e / e
     values = []
     for lam in lams:
-        s_quad = replace(base, outer_cutoff=lam, singular_points=(0.0, -1.0, 1.0))
-        s_mid, s_w = axis_cells(s_quad)
-        total = 0.0
-        for s, w in zip(s_mid, s_w):
-            inner = _band_integral(float(s), r1, lam)
-            hi = float(s) - 1.0
-            if hi > -lam:
-                u_quad = replace(base, outer_cutoff=lam, singular_points=(0.0, hi))
-                u_mid, u_w = axis_cells(u_quad)
-                keep = u_mid <= hi
-                if np.any(keep):
-                    um, uw = u_mid[keep], u_w[keep]
-                    inner += float(
-                        (np.abs(um) ** (-r1) * np.abs(s - um) ** (-r2)) @ uw
-                    )
-            total += w * np.abs(s) ** (-r1) * inner
-        values.append(total)
+        s, w = axis_cells(replace(base, outer_cutoff=lam, singular_points=(0.0, -1.0, 1.0)))
+        inner = anti(s) - anti(np.maximum(s - 1.0, -lam))
+        far = np.flatnonzero(s - 1.0 > -lam)
+        span = lam + float(np.max(np.abs(s[far] - 1.0), initial=0.0))
+        steps = int(np.ceil(np.log(span / eps) / np.log(ratio))) + 1
+        offsets = eps * ratio ** np.arange(steps + 1)
+        ladder = np.concatenate([-offsets, offsets])
+        for r0 in range(0, far.size, _ROW_BLOCK):
+            rows = far[r0 : r0 + _ROW_BLOCK]
+            hi = s[rows, None] - 1.0
+            edges = np.concatenate(
+                [np.broadcast_to(ladder, (rows.size, ladder.size)), hi + ladder], axis=1
+            )
+            edges.sort(axis=1)
+            lo, up = edges[:, :-1], edges[:, 1:]
+            mid = 0.5 * (lo + up)
+            keep = (up - lo > 0.0) & (lo >= -lam) & (up <= lam) & (mid <= hi)
+            for p in (0.0, hi):
+                keep &= (up <= p - eps) | (lo >= p + eps)
+            r, c = np.nonzero(keep)
+            um = mid[r, c]
+            cell = np.abs(um) ** (-r1) * np.abs(s[rows][r] - um) ** (-r2) * (up - lo)[r, c]
+            inner[rows] += np.bincount(r, weights=cell, minlength=rows.size)
+        values.append(float((np.abs(s) ** (-r1) * inner) @ w))
     return np.array(values)

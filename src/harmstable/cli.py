@@ -371,6 +371,8 @@ def _check_condition(cfg: dict) -> tuple[int, str]:
     lams = cfg["lambdas"]
     if len(lams) < 2:
         raise ConfigError(f"lambdas needs at least two window sizes, got {lams}")
+    if any(b <= a for a, b in zip(lams, lams[1:])):
+        raise ConfigError(f"lambdas must be strictly increasing, got {lams}")
     cond = [
         condition_value(lambda s, u: kernel_h(s, u, p), p.alpha, QuadratureSpec(outer_cutoff=lam))
         for lam in lams

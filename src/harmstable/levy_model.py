@@ -75,7 +75,9 @@ class JumpMeasure:
     def __post_init__(self) -> None:
         if self.locations.shape != self.values.shape or self.locations.ndim != 1:
             raise ParameterError("locations and values must be aligned 1-d arrays")
-        # written so that a NaN location or half_width fails the check
+        # written so that a NaN location or half_width fails the checks
+        if not 0.0 < self.half_width < np.inf:
+            raise ParameterError(f"half_width must be finite and positive, got {self.half_width}")
         if self.locations.size and not (
             np.all(self.locations[1:] > self.locations[:-1])
             and abs(self.locations[0]) <= self.half_width

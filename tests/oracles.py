@@ -5,10 +5,12 @@ is not part of the package; traced_peak_mib measures a route's working set.
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 
-from harmstable import ParameterError, RngStream
+from harmstable import ParameterError, QuadratureSpec, RngStream
+from harmstable.quadrature import axis_cells
 from harmstable.rng_stable import _check_stable_args, _positive_exponential
 
 
@@ -82,6 +84,31 @@ def pair_table_sums(s: np.ndarray, a: np.ndarray, n_increments: int) -> np.ndarr
             sums[j] += cur.sum()
             cur *= rot
     return sums
+
+
+def envelope_quadrature_loop(r1: float, r2: float, lam_list, quad=None) -> np.ndarray:
+    """Oracle for analysis.envelope_quadrature: one axis_cells call per outer
+    cell. For each outer midpoint s the band [max(s - 1, -L), s] is integrated
+    in closed form and the far part on its own grid anchored at 0 and s - 1,
+    keeping the cells with midpoint <= s - 1. Inputs are not validated."""
+    base = quad if quad is not None else QuadratureSpec(cells_per_decade=16)
+    e = 1.0 - r1
+    anti = lambda u: np.sign(u) * np.abs(u) ** e / e
+    values = []
+    for lam in lam_list:
+        s_mid, s_w = axis_cells(replace(base, outer_cutoff=lam, singular_points=(0.0, -1.0, 1.0)))
+        total = 0.0
+        for s, w in zip(s_mid, s_w):
+            inner = float(anti(s) - anti(max(s - 1.0, -lam)))
+            hi = float(s) - 1.0
+            if hi > -lam:
+                u_mid, u_w = axis_cells(replace(base, outer_cutoff=lam, singular_points=(0.0, hi)))
+                keep = u_mid <= hi
+                um, uw = u_mid[keep], u_w[keep]
+                inner += float((np.abs(um) ** (-r1) * np.abs(s - um) ** (-r2)) @ uw)
+            total += w * np.abs(s) ** (-r1) * inner
+        values.append(total)
+    return np.array(values)
 
 
 def traced_peak_mib(f) -> float:

@@ -31,7 +31,7 @@ from harmstable import (
     run_lln_experiment,
     simulate_increments,
 )
-from oracles import pair_table_sums, traced_peak_mib
+from oracles import envelope_quadrature_loop, pair_table_sums, traced_peak_mib
 
 P = ModelParams(alpha=1.2, hurst=0.75)
 
@@ -363,6 +363,7 @@ class TestKernelLimitCheck:
         kernel_limit_check(0.5 + math.pi, 0.5, P, (64,))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestEnvelopeQuadrature:
     def test_integrable_exponents_stabilize(self):
         vals = envelope_quadrature(0.7, 1.2, (50.0, 100.0))
@@ -394,6 +395,45 @@ class TestEnvelopeQuadrature:
             0.7, 1.2, (20.0,), quad=QuadratureSpec(cells_per_decade=8)
         )
         assert coarse[0] == pytest.approx(fine[0], rel=0.05)
+
+    def test_rejects_nan_exponents(self):
+        for r1, r2 in ((math.nan, 1.2), (0.7, math.nan)):
+            with pytest.raises(ParameterError):
+                envelope_quadrature(r1, r2, (50.0,))
+
+    def test_rejects_nonfinite_windows(self):
+        for lams in ((math.inf,), (50.0, math.inf), (math.nan,)):
+            with pytest.raises(ParameterError):
+                envelope_quadrature(0.7, 1.2, lams)
+
+    def test_rejects_windows_that_do_not_grow(self):
+        for lams in ((50.0, 50.0), (100.0, 50.0)):
+            with pytest.raises(ParameterError, match="strictly increasing"):
+                envelope_quadrature(0.7, 1.2, lams)
+
+    # lam = 1.5 leaves most outer cells without a far part; lam = 200 takes
+    # the longest ladders
+    @settings(max_examples=20)
+    @given(
+        r1=st.floats(0.05, 0.95),
+        r2=st.floats(0.3, 2.5),
+        cells_per_decade=st.sampled_from([4, 8, 16]),
+        inner_cutoff=st.sampled_from([1e-8, 1e-4, 0.1]),
+    )
+    def test_matches_per_cell_loop(self, r1, r2, cells_per_decade, inner_cutoff):
+        quad = QuadratureSpec(cells_per_decade=cells_per_decade, inner_cutoff=inner_cutoff)
+        lams = (1.5, 200.0)
+        np.testing.assert_allclose(
+            envelope_quadrature(r1, r2, lams, quad),
+            envelope_quadrature_loop(r1, r2, lams, quad),
+            rtol=1e-13,
+            atol=0.0,
+        )
+
+    def test_working_set_is_blocked(self):
+        # the far part holds one block of rows at a time, never every row
+        peak = traced_peak_mib(lambda: envelope_quadrature(0.7, 1.2, (50.0, 100.0)))
+        assert peak <= 4.0
 
 
 def blas_threads():

@@ -568,6 +568,13 @@ class TestCheckCommands:
         rc, _, err = run_main(capsys, ["check-condition", "--lambdas", "20"])
         assert rc == 2 and "at least two" in err
 
+    # a window that does not grow certifies nothing
+    @pytest.mark.parametrize("lambdas", ["50,50", "100,50"])
+    def test_check_condition_rejects_windows_that_do_not_grow(self, capsys, lambdas):
+        rc, out, err = run_main(capsys, ["check-condition", "--lambdas", lambdas])
+        assert rc == 2 and out == ""
+        assert err.startswith("error: lambdas must be strictly increasing")
+
     def test_check_identities_pass(self, capsys):
         rc, out, _ = run_main(
             capsys, ["check-identities", "--trials", "5", "--n-terms", "200"]

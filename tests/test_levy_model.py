@@ -102,6 +102,12 @@ class TestJumpMeasureValidation:
             with pytest.raises(ParameterError):
                 JumpMeasure(np.array(locations), np.ones(len(locations), complex), half_width, 1.0)
 
+    def test_rejects_bad_half_width_when_empty(self):
+        # no location bounds the window of an empty measure
+        for half_width in (np.nan, np.inf, 0.0, -1.0):
+            with pytest.raises(ParameterError, match="half_width"):
+                JumpMeasure(np.array([]), np.array([], complex), half_width, 1.0)
+
 
 class TestBuildJumpMeasure:
     def test_deterministic(self):
