@@ -20,7 +20,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import ParameterError, SingularityError
-from .kernels import ZERO_FLOOR, ModelParams, half_angle_exp, phi_qv, r_from_half_angle
+from .kernels import ZERO_FLOOR, ModelParams, phi_qv, r_from_half_angle
 from .levy_model import JumpMeasure, integrate_qv
 
 __all__ = [
@@ -35,6 +35,11 @@ __all__ = [
 # atoms per block of the increment sum, which bounds its two power tables
 # to 2 sqrt(n) x 4096 complex entries (3 MiB at n = 512) at any atom count
 _ATOM_BLOCK = 4096
+
+# cell width h of the limit draw's Taylor expansion and its order p: the
+# smallest p with (h/2)^p / p! <= 2^-64, the remainder bound for t in [0, 1]
+_CELL = 0.5
+_ORDERS = 14
 
 # Gauss-Legendre rules by node count; callers share the arrays and never write
 _leggauss = lru_cache(maxsize=16)(leggauss)
@@ -118,20 +123,29 @@ def t_nodes_for(half_width: float) -> int:
 
 
 def rosenblatt_fast(jm: JumpMeasure, p: ModelParams, t_nodes: int | None = None) -> float:
-    """O(t_nodes * atoms) evaluation of the realized double-integral limit.
+    """Realized double-integral limit, with no trigonometry per atom.
 
     The kernel prefactor is the t-average of exp(i t (s-u)) over [0, 1], so
     the pair sum collapses to the Gauss-Legendre quadrature of |A(t)|^2 with
-    A(t) = sum_i exp(i t s_i) a_i, a_i = |s_i|^gamma v_i, minus the diagonal.
-    The nodes pair up as t = 1/2 +- d: with b_i = a_i exp(i s_i / 2),
-    C = sum_i b_i cos(d s_i) and S = sum_i b_i sin(d s_i), A(1/2 +- d) is
-    C +- i S and the pair adds 2 (|C|^2 + |S|^2). So one cosine and one sine
-    table over the offsets d > 0 act on [Re b, Im b] as real matrix
-    products; an odd t_nodes adds the centre node t = 1/2.
+    A(t) = sum_i exp(i t s_i) a_i, a_i = |s_i|^gamma v_i, minus the diagonal
+    sum_i |a_i|^2.
+
+    A(t) is summed by cells of width h = _CELL: s_i = g_i h + f_i with
+    g_i = rint(s_i / h) and |f_i| <= h/2. Per occupied cell the moments
+    W[k, g] = sum_{i in g} a_i f_i^k, k < p = _ORDERS, are sums over one
+    contiguous run of the sorted atoms, and
+    A(t) = sum_g exp(i t g h) sum_k (i t)^k / k! W[k, g], combined over k by
+    Horner's rule. For t in [0, 1] the Taylor remainder of exp(i t f) is at
+    most (h/2)^p / p! <= 2^-64 (4.3e-20 at h = 1/2, p = 14), so
+    |A(t) - A_exact(t)| <= 2^-64 sum_i |a_i| plus rounding. The only
+    exponentials are t_nodes x cells, built a block of nodes at a time; the
+    per-atom tables are one 4,096-atom block wide.
 
     t_nodes defaults to t_nodes_for(M) = ceil(M) + 16, which at 10^5 atoms
     agrees with a rule 4 times as fine (and of at least 1024 nodes) to
-    <= 1e-13 relative for M in {1, 5, 20, 50, 100, 500}.
+    <= 3e-13 relative for M in {1, 5, 20, 50, 100, 500} (three draws each).
+    A non-finite total or diagonal, as from amplitudes whose squares
+    overflow, raises SingularityError.
     """
     if t_nodes is None:
         t_nodes = t_nodes_for(jm.half_width)
@@ -142,25 +156,46 @@ def rosenblatt_fast(jm: JumpMeasure, p: ModelParams, t_nodes: int | None = None)
     s = jm.locations
     if p.gamma < 0.0 and np.any(np.abs(s) < ZERO_FLOOR):
         raise SingularityError("atom at s = 0 with gamma < 0")
-    amp = np.abs(s) ** p.gamma * jm.values
-    diag = float(np.sum(amp.real**2 + amp.imag**2))
-    b = np.multiply(amp, half_angle_exp(s), out=amp)
-    b_ri = b.view(float).reshape(-1, 2)  # columns Re b, Im b
-    # rule on [-1, 1]: t = (1 + x) / 2 halves each weight, a pair doubles it
     x, w = _leggauss(t_nodes)
-    half = t_nodes // 2
-    d, w_pair = 0.5 * x[t_nodes - half :], w[t_nodes - half :]
-    total = 0.5 * w[half] * float(abs(b.sum())) ** 2 if t_nodes % 2 else 0.0
-    # C and S summed over atom blocks, so the tables hold half x 4096 entries
-    c, sn = np.zeros((2, half, 2))
-    ds_buf, trig_buf = np.empty((2, half * min(s.size, _ATOM_BLOCK)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        cells, moments, diag = _cell_moments(s, jm.values, p.gamma)
+        # rule on [-1, 1]: t = (1 + x) / 2 halves each weight
+        t = 0.5 * (1.0 + x)
+        rows = max(1, _ATOM_BLOCK // cells.size)
+        total = 0.0
+        for q0 in range(0, t_nodes, rows):
+            tq = t[q0 : q0 + rows]
+            sums = np.exp(np.multiply.outer(1j * tq, cells)) @ moments.T
+            a = sums[:, -1]
+            for k in range(_ORDERS - 1, 0, -1):
+                a = sums[:, k - 1] + a * (1j * tq / k)
+            total += float(0.5 * w[q0 : q0 + rows] @ (a.real**2 + a.imag**2))
+    if not (math.isfinite(total) and math.isfinite(diag)):
+        raise SingularityError("limit draw is non-finite: an amplitude |s|^gamma v overflows")
+    return total - diag * 0.5 * float(np.sum(w))
+
+
+def _cell_moments(s: np.ndarray, v: np.ndarray, gamma: float):
+    """Cell centres g h, moments W[k, g] = sum_{i in g} a_i f_i^k (orders x
+    cells) and sum_i |a_i|^2 for sorted s, from one orders x 2 x 4096 table
+    of Re/Im a_i f_i^k per atom block. A cell cut by a block boundary is
+    listed once per block, which leaves A(t) unchanged."""
+    table_buf = np.empty(2 * _ORDERS * min(s.size, _ATOM_BLOCK))
+    ids, parts, diag = [], [], 0.0
     for i0 in range(0, s.size, _ATOM_BLOCK):
         sb = s[i0 : i0 + _ATOM_BLOCK]
         m = sb.size
-        ds = np.multiply.outer(d, sb, out=ds_buf[: half * m].reshape(half, m))
-        trig = trig_buf[: half * m].reshape(half, m)
-        c += np.cos(ds, out=trig) @ b_ri[i0 : i0 + m]
-        sn += np.sin(ds, out=trig) @ b_ri[i0 : i0 + m]
-    total += float(w_pair @ np.sum(c**2 + sn**2, axis=1))
-    return total - diag * 0.5 * float(np.sum(w))
-
+        a = np.abs(sb) ** gamma * v[i0 : i0 + m]
+        diag += float(np.sum(a.real**2 + a.imag**2))
+        g = np.rint(sb / _CELL)
+        f = sb - g * _CELL
+        table = table_buf[: 2 * _ORDERS * m].reshape(_ORDERS, 2, m)
+        table[0] = a.real, a.imag
+        for k in range(1, _ORDERS):
+            np.multiply(table[k - 1], f, out=table[k])
+        # run starts: atom 0 and each atom whose cell differs from the last
+        runs = np.flatnonzero(np.diff(g, prepend=np.nan))
+        ids.append(g[runs])
+        parts.append(np.add.reduceat(table.reshape(2 * _ORDERS, m), runs, axis=1))
+    ri = np.concatenate(parts, axis=1)
+    return np.concatenate(ids) * _CELL, ri[0::2] + 1j * ri[1::2], diag

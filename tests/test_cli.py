@@ -26,6 +26,7 @@ except ModuleNotFoundError:  # Python < 3.11
 
 import harmstable
 from harmstable import (
+    JumpMeasure,
     ModelParams,
     RngStream,
     __version__,
@@ -403,6 +404,18 @@ class TestSimulateCommand:
         assert isinstance(results["rosenblatt"], float)
         assert results["q_partial"] == [[8, pytest.approx(results["q_partial"][0][1])]]
         assert len(results["increments"]) == 8
+
+    def test_json_with_overflowing_limit_draw_returns_2(self, capsys, monkeypatch):
+        # |a_i|^2 of these atoms overflows; the limit draw used to be NaN
+        jm = JumpMeasure(np.array([-1.0, 0.5]), np.array([1e200 + 0j, 1e200 + 0j]), 2.0, 1.0)
+        monkeypatch.setattr(cli, "build_jump_measure", lambda *args: jm)
+        rc, out, err = run_main(
+            capsys, ["simulate", "--n", "1", "--n-terms", "100", "--half-width", "5",
+                     "--format", "json"]
+        )
+        assert rc == 2 and out == ""
+        assert err.startswith("error:") and "non-finite" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_deterministic_output(self, capsys):
         _, out_a, _ = run_main(capsys, ["simulate", "--n", "8", "--n-terms", "100",

@@ -1,8 +1,10 @@
 """Unit tests for coupled increments, Q_n, and the realized limit objects."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from harmstable import (
@@ -24,6 +26,7 @@ from harmstable import (
     simulate_increments,
     t_nodes_for,
 )
+from harmstable.harmonizable import _CELL, _ORDERS
 from oracles import dense_increments, dense_limit, traced_peak_mib
 
 P = ModelParams(alpha=1.2, hurst=0.75)
@@ -179,6 +182,7 @@ class TestCouplingIdentity:
         assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-13)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestRosenblatt:
     def test_brute_and_fast_routes_agree(self):
         jm = small_measure(7)
@@ -212,6 +216,18 @@ class TestRosenblatt:
         with pytest.raises(ParameterError):
             rosenblatt_fast(small_measure(9), P, t_nodes=1)
 
+    def test_overflowing_amplitudes_raise(self):
+        # |a_i|^2 overflows: the draw raises rather than return NaN
+        jm = JumpMeasure(np.array([-1.0, 0.5]), np.array([1e200 + 0j, 1e200 + 0j]), 2.0, 1.0)
+        with pytest.raises(SingularityError, match="non-finite"):
+            rosenblatt_fast(jm, P)
+
+    def test_taylor_order_is_the_smallest_within_the_bound(self):
+        # for t in [0, 1] and |f| <= h/2 the remainder of exp(i t f) after
+        # p terms is at most (h/2)^p / p!
+        remainder = lambda p: (_CELL / 2) ** p / math.factorial(p)
+        assert remainder(_ORDERS) <= 2.0**-64 < remainder(_ORDERS - 1)
+
 
 def pair_sum_oracle(jm: JumpMeasure, p: ModelParams) -> float:
     return 2 * double_integrate(jm, lambda s, u: kernel_h(s, u, p)).real
@@ -223,6 +239,7 @@ def diagonal_scale(jm: JumpMeasure, p: ModelParams) -> float:
     return float(np.sum(amp.real**2 + amp.imag**2))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestNodeRule:
     def test_rule(self):
         assert t_nodes_for(20.0) == 36
@@ -248,7 +265,8 @@ class TestNodeRule:
     @pytest.mark.parametrize("t_nodes", [36, 37])
     @pytest.mark.parametrize("n_terms", MULTI_BLOCK)
     def test_blocks_match_dense_limit(self, n_terms, t_nodes):
-        # C and S summed over one to three atom blocks against |A(t)|^2
+        # cell moments summed over one to three atom blocks, a cell that a
+        # block boundary cuts listed once per block, against |A(t)|^2
         # evaluated directly at the same nodes; 37 adds the centre node
         jm = build_jump_measure(1.2, 20.0, n_terms, RngStream(59, n_terms))
         fast = rosenblatt_fast(jm, P, t_nodes=t_nodes)
@@ -269,6 +287,45 @@ class TestNodeRule:
         assert abs(rosenblatt_fast(jm, p) - oracle) <= 1e-11 * scale
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestCellMoments:
+    @settings(max_examples=40)
+    @given(
+        alpha=st.floats(0.3, 1.95),
+        hurst=st.floats(0.02, 0.98),
+        half_width=st.floats(0.3, 200.0),
+        n_terms=st.integers(2, 5000),
+        t_nodes=st.integers(2, 250),
+        stream=st.integers(0, 2**16),
+    )
+    # gamma = 1 - hurst - 1/alpha above and below 0; windows narrower than
+    # one cell and not a multiple of it
+    @example(alpha=1.9, hurst=0.2, half_width=7.3, n_terms=3000, t_nodes=24, stream=1)
+    @example(alpha=1.9, hurst=0.6, half_width=7.3, n_terms=3000, t_nodes=23, stream=1)
+    @example(alpha=0.3, hurst=0.5, half_width=0.3, n_terms=50, t_nodes=17, stream=2)
+    @example(alpha=1.2, hurst=0.75, half_width=0.49, n_terms=2, t_nodes=18, stream=3)
+    def test_matches_dense_limit(self, alpha, hurst, half_width, n_terms, t_nodes, stream):
+        p = ModelParams(alpha, hurst)
+        jm = build_jump_measure(alpha, half_width, n_terms, RngStream(67, stream))
+        fast = rosenblatt_fast(jm, p, t_nodes=t_nodes)
+        assert abs(fast - dense_limit(jm, p, t_nodes)) <= 1e-12 * diagonal_scale(jm, p)
+
+    @pytest.mark.parametrize("t_nodes", [18, 19])
+    def test_atoms_on_cell_boundaries(self, t_nodes):
+        # (g + 1/2) h is a tie of rint, so |f| = h/2 exactly; the window's
+        # ends +-M sit on ties too. Every atom here carries the largest
+        # Taylor remainder, so the bound is tighter than the property
+        # test's: measured 1.5e-16, and 1.6e-14 with 10 orders in place of 14
+        half_width = 2.25
+        ties = (np.arange(-4, 5) + 0.5) * _CELL
+        s = np.unique(np.concatenate([ties, [-half_width, 0.1, 0.3, half_width]]))
+        v = np.random.default_rng(71).normal(size=(s.size, 2)) @ np.array([1.0, 1j])
+        jm = JumpMeasure(s, v, half_width, 1.0)
+        fast = rosenblatt_fast(jm, P, t_nodes=t_nodes)
+        assert abs(fast - dense_limit(jm, P, t_nodes)) <= 1e-15 * diagonal_scale(jm, P)
+        assert fast == pytest.approx(pair_sum_oracle(jm, P), rel=1e-11)
+
+
 class TestWorkingSet:
     """Traced peaks at 10^5 atoms, where one float per atom is 0.76 MiB.
     The kernels keep their tables to one 4,096-atom block; the bounds sit
@@ -282,11 +339,21 @@ class TestWorkingSet:
             for hw in (20.0, 50.0)
         }
 
-    # measured 3.2 and 3.7 MiB [32.1 and 35.1]
+    # measured 1.2 MiB at both [32.1 and 35.1]; the bounds are kept at 4.0
+    # and 4.6, 25% above the 3.2 and 3.7 of per-block cosine and sine tables
     @pytest.mark.parametrize("half_width, bound", [(20.0, 4.0), (50.0, 4.6)])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_limit_draw(self, measures, half_width, bound):
         jm = measures[half_width]
         assert traced_peak_mib(lambda: rosenblatt_fast(jm, P)) <= bound
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_limit_draw_on_a_wide_window(self):
+        # measured 2.4 MiB [16.5 with per-block cosine and sine tables] at
+        # 20,000 atoms and 516 nodes: the moments hold 2 x 14 floats per
+        # occupied cell, and the exponentials one block of nodes x cells
+        jm = build_jump_measure(1.2, 500.0, 20_000, RngStream(61, 500))
+        assert traced_peak_mib(lambda: rosenblatt_fast(jm, P)) <= 3.0
 
     def test_increments(self, measures):
         # measured 3.2 MiB [4.6]: the two tables are 2 sqrt(n) x 4096 entries
