@@ -29,7 +29,7 @@ from .harmonizable import (
 )
 from .kernels import ModelParams, kernel_gn, kernel_h, kernel_hn, kernel_r, nearest_2pi
 from .levy_model import build_jump_measure, double_integrate, integrate_qv
-from .quadrature import QuadratureSpec, axis_cells
+from .quadrature import QuadratureSpec, _check_windows, _window_runs, axis_cells
 from .rng_stable import RngStream, sample_isotropic_stable
 
 __all__ = [
@@ -390,6 +390,9 @@ def identity_suite(
         pair = np.r_[pair_direct, pair_j[1 : head.size]]
         rhs = 2.0 * pair.real + integrate_qv(jm_a, lambda x: 1.0)
         rels = np.abs(lhs - rhs) / np.maximum(np.maximum(lhs, np.abs(rhs)), 1.0)
+        # checked before Q_m, which raises on its own if an increment is not finite
+        if not np.all(np.isfinite(rels)):
+            raise QuadratureError(f"trial {i}: non-finite identity residual")
 
         u = realized_U(jm, p)
         q_m = quadratic_statistic(y, n_increments)
@@ -406,7 +409,7 @@ def identity_suite(
         terms = float(n_increments) ** (2.0 - 2.0 * p.hurst) * max(q_m / n_increments, u)
         scale = max(abs(rhs), terms)
         worst_err = abs(lhs - rhs) / scale if scale > 0.0 else abs(lhs - rhs)
-        if not np.all(np.isfinite([*rels, worst_err])):
+        if not np.isfinite(worst_err):
             raise QuadratureError(f"trial {i}: non-finite identity residual")
         return float(rels.max()), worst_err
 
@@ -488,55 +491,60 @@ def envelope_quadrature(
     and keeps growing when it is not, which is the divergence certificate
     used by the existence checks.
 
+    One pass serves every window. The outer cells and the far part are laid
+    out for the largest window; window L keeps its own run of outer cells
+    (quadrature._window_runs) and the far cells inside [-L, L], and its band
+    is clipped at -L.
+
     The far part walks the outer cells _ROW_BLOCK rows at a time. Row s holds
     the merged ladders around 0 and s - 1, sorted, and keeps the cells that
     axis_cells would keep for those two anchors (a repeated edge makes a
     zero-width cell, which the width test drops) with midpoint <= s - 1.
     Every row takes the ladder length of the largest |s - 1|; the extra steps
     only add edges outside [-L, L]."""
-    # written so that a NaN exponent or window fails the checks
+    # written so that a NaN exponent fails the check
     if not (r1 > 0.0 and r2 > 0.0):
         raise ParameterError(f"r1 and r2 must be positive, got r1={r1}, r2={r2}")
     if r1 >= 1.0:
         raise QuadratureError(
             "the band integral diverges at u=0 once r1 >= 1; no finite window value exists"
         )
-    lams = tuple(float(x) for x in lam_list)
-    if len(lams) < 1 or not all(1.0 < x < np.inf for x in lams):
-        raise ParameterError(f"lam_list must contain finite reals > 1, got {lam_list}")
-    if any(b <= a for a, b in zip(lams, lams[1:])):
-        raise ParameterError(f"lam_list must be strictly increasing, got {lam_list}")
+    lams = _check_windows(lam_list)
     # the closed-form band makes cost linear in resolution, so the default
     # can afford to be finer than the generic product grid
     base = quad if quad is not None else QuadratureSpec(cells_per_decade=16)
+    base = replace(base, singular_points=(0.0, -1.0, 1.0))
     eps = base.inner_cutoff
     ratio = 10.0 ** (1.0 / base.cells_per_decade)
     e = 1.0 - r1
     anti = lambda u: np.sign(u) * np.abs(u) ** e / e
-    values = []
-    for lam in lams:
-        s, w = axis_cells(replace(base, outer_cutoff=lam, singular_points=(0.0, -1.0, 1.0)))
-        inner = anti(s) - anti(np.maximum(s - 1.0, -lam))
-        far = np.flatnonzero(s - 1.0 > -lam)
-        span = lam + float(np.max(np.abs(s[far] - 1.0), initial=0.0))
-        steps = int(np.ceil(np.log(span / eps) / np.log(ratio))) + 1
-        offsets = eps * ratio ** np.arange(steps + 1)
-        ladder = np.concatenate([-offsets, offsets])
-        for r0 in range(0, far.size, _ROW_BLOCK):
-            rows = far[r0 : r0 + _ROW_BLOCK]
-            hi = s[rows, None] - 1.0
-            edges = np.concatenate(
-                [np.broadcast_to(ladder, (rows.size, ladder.size)), hi + ladder], axis=1
-            )
-            edges.sort(axis=1)
-            lo, up = edges[:, :-1], edges[:, 1:]
-            mid = 0.5 * (lo + up)
-            keep = (up - lo > 0.0) & (lo >= -lam) & (up <= lam) & (mid <= hi)
-            for p in (0.0, hi):
-                keep &= (up <= p - eps) | (lo >= p + eps)
-            r, c = np.nonzero(keep)
-            um = mid[r, c]
-            cell = np.abs(um) ** (-r1) * np.abs(s[rows][r] - um) ** (-r2) * (up - lo)[r, c]
-            inner[rows] += np.bincount(r, weights=cell, minlength=rows.size)
-        values.append(float((np.abs(s) ** (-r1) * inner) @ w))
-    return np.array(values)
+    lam = lams[-1]
+    s, w = axis_cells(replace(base, outer_cutoff=lam))
+    inner = np.array([anti(s) - anti(np.maximum(s - 1.0, -x)) for x in lams])
+    far = np.flatnonzero(s - 1.0 > -lam)
+    span = lam + float(np.max(np.abs(s[far] - 1.0), initial=0.0))
+    steps = int(np.ceil(np.log(span / eps) / np.log(ratio))) + 1
+    offsets = eps * ratio ** np.arange(steps + 1)
+    ladder = np.concatenate([-offsets, offsets])
+    for r0 in range(0, far.size, _ROW_BLOCK):
+        rows = far[r0 : r0 + _ROW_BLOCK]
+        hi = s[rows, None] - 1.0
+        edges = np.concatenate(
+            [np.broadcast_to(ladder, (rows.size, ladder.size)), hi + ladder], axis=1
+        )
+        edges.sort(axis=1)
+        lo, up = edges[:, :-1], edges[:, 1:]
+        mid = 0.5 * (lo + up)
+        keep = (up - lo > 0.0) & (lo >= -lam) & (up <= lam) & (mid <= hi)
+        for p in (0.0, hi):
+            keep &= (up <= p - eps) | (lo >= p + eps)
+        r, c = np.nonzero(keep)
+        um = mid[r, c]
+        cell = np.abs(um) ** (-r1) * np.abs(s[rows][r] - um) ** (-r2) * (up - lo)[r, c]
+        for k, x in enumerate(lams):
+            inside = ((lo >= -x) & (up <= x))[r, c]
+            inner[k, rows] += np.bincount(r, weights=cell * inside, minlength=rows.size)
+    return np.array([
+        float((np.abs(s[a:b]) ** (-r1) * inner[k, a:b]) @ w[a:b])
+        for k, (a, b) in enumerate(_window_runs(base, s, lams))
+    ])

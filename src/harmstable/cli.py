@@ -40,7 +40,6 @@ from .harmonizable import (
 )
 from .kernels import ModelParams, kernel_h
 from .levy_model import build_jump_measure, condition_value
-from .quadrature import QuadratureSpec
 from .rng_stable import RngStream
 
 def _integer(value) -> int:
@@ -373,10 +372,7 @@ def _check_condition(cfg: dict) -> tuple[int, str]:
         raise ConfigError(f"lambdas needs at least two window sizes, got {lams}")
     if any(b <= a for a, b in zip(lams, lams[1:])):
         raise ConfigError(f"lambdas must be strictly increasing, got {lams}")
-    cond = [
-        condition_value(lambda s, u: kernel_h(s, u, p), p.alpha, QuadratureSpec(outer_cutoff=lam))
-        for lam in lams
-    ]
+    cond = condition_value(lambda s, u: kernel_h(s, u, p), p.alpha, lams).tolist()
     cond_growth = [abs(b / a - 1.0) for a, b in zip(cond, cond[1:])]
     env = envelope_quadrature(cfg["r1"], cfg["r2"], lams)
     env_growth = [abs(b / a - 1.0) for a, b in zip(env, env[1:])]

@@ -102,11 +102,16 @@ def realized_U(jm: JumpMeasure, p: ModelParams) -> float:
 
 def quadratic_statistic(y: np.ndarray, m: int) -> float:
     """Quadratic statistic Q_m, the sum of the first m squared moduli of the
-    increments y."""
+    increments y. A non-finite sum, as from |Y_j|^2 overflowing, raises
+    SingularityError."""
     if not (1 <= m <= y.size):
         raise ParameterError(f"m must be in [1, {y.size}], got {m}")
     y = y[:m]
-    return float(np.sum(y.real**2 + y.imag**2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = float(np.sum(y.real**2 + y.imag**2))
+    if not math.isfinite(q):
+        raise SingularityError("quadratic statistic is non-finite: |Y_j|^2 overflows")
+    return q
 
 
 def normalized_error(q_m: float, u_realized: float, m: int, p: ModelParams) -> float:

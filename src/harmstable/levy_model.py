@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ParameterError, SingularityError
 from .kernels import psi
-from .quadrature import QuadratureSpec, grid_integral_2d
+from .quadrature import QuadratureSpec, _check_windows, grid_integral_2d
 from .rng_stable import RngStream, poisson_arrivals
 
 __all__ = [
@@ -36,8 +36,9 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-# ordered atom pairs per block of double_integrate, the one pair walk
-_PAIR_BLOCK = 16384
+# atoms per side of double_integrate's square pair tiles: a tile holds
+# 128^2 = 16,384 pairs
+_TILE = 128
 
 CALIBRATION_SEED = 20260301
 
@@ -216,30 +217,16 @@ def _kernel_values(f, what: str, *where: np.ndarray) -> np.ndarray:
     bad = ~np.isfinite(vals)
     if np.any(bad):
         idx = int(np.argmax(bad))
-        at = ", ".join(repr(w[idx]) for w in where)
+        at = ", ".join(repr(w.flat[idx]) for w in where)
         raise SingularityError(f"{what} is non-finite at ({at})")
     return vals
-
-
-def _pair_blocks(n: int):
-    """Index arrays (i, k) of the atom pairs k < i in row order, the order of
-    np.tril_indices(n, -1), _PAIR_BLOCK pairs at a time. Row r's pairs start
-    at r(r-1)/2, so a block needs only that O(n) table and its own pairs."""
-    start = np.arange(n) * (np.arange(n) - 1) // 2
-    total = n * (n - 1) // 2
-    for p0 in range(0, total, _PAIR_BLOCK):
-        p1 = min(total, p0 + _PAIR_BLOCK)
-        r0, r1 = np.searchsorted(start, (p0, p1 - 1), side="right") - 1
-        rows = np.arange(r0, r1 + 1)
-        first = start[rows]
-        i = np.repeat(rows, np.minimum(first + rows, p1) - np.maximum(first, p0))
-        yield i, np.arange(p0, p1) - start[i]
 
 
 def integrate_qv(jm: JumpMeasure, phi) -> float:
     """Integral of phi against the pathwise quadratic variation measure:
     sum_i phi(s_i) * |value_i|^2. phi must return one value per atom, or a
-    scalar."""
+    scalar. A non-finite result, as from |value_i|^2 overflowing, raises
+    SingularityError."""
     if jm.n_terms == 0:
         return 0.0
     vals = np.asarray(_kernel_values(phi, "quadratic-variation integrand", jm.locations), float)
@@ -249,38 +236,61 @@ def integrate_qv(jm: JumpMeasure, phi) -> float:
             f"quadratic-variation integrand is negative at location "
             f"{jm.locations[idx]!r}"
         )
-    weights = jm.values.real**2 + jm.values.imag**2
-    return float(np.sum(vals * weights))
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(np.sum(vals * (jm.values.real**2 + jm.values.imag**2)))
+    if not math.isfinite(total):
+        raise SingularityError("quadratic-variation integral is non-finite: |value_i|^2 overflows")
+    return total
 
 
 def double_integrate(jm: JumpMeasure, f) -> complex:
     """Strictly lower-triangular double integral:
     sum over location-ordered pairs u_k < s_i of f(s_i, u_k) * conj(v_k) * v_i.
 
-    The kernel is evaluated only on pairs inside the triangle, one block of
-    _pair_blocks at a time, so integrands that are singular or undefined
-    elsewhere are safe. It must return one value per pair, or a scalar.
+    The pairs are walked in square tiles of _TILE atoms. A tile of rows I
+    and earlier columns K evaluates f once on the broadcast views
+    (s_I[:, None], s_K[None, :]) and adds z_I @ (vals @ conj(z_K)); a
+    diagonal tile evaluates f on its own pairs k < i, taken from one
+    np.tril_indices table per call. The kernel thus sees only pairs inside
+    the triangle, so integrands that are singular or undefined elsewhere
+    are safe. It must return one value per pair, or a scalar.
     """
     s = jm.locations
     z = jm.values
+    zc = np.conj(z)
+    tri_i, tri_k = np.tril_indices(min(_TILE, s.size), -1)
     total = 0j
-    for i, k in _pair_blocks(s.size):
-        vals = _kernel_values(f, "arity-2 kernel", s[i], s[k])
-        total += complex(np.sum(vals * np.conj(z[k]) * z[i]))
+    for i0 in range(0, s.size, _TILE):
+        s_i, z_i = s[i0 : i0 + _TILE], z[i0 : i0 + _TILE]
+        for k0 in range(0, i0, _TILE):
+            where = np.broadcast_arrays(s_i[:, None], s[None, k0 : k0 + _TILE])
+            vals = _kernel_values(f, "arity-2 kernel", *where)
+            total += complex(z_i @ (np.broadcast_to(vals, where[0].shape) @ zc[k0 : k0 + _TILE]))
+        pairs = s_i.size * (s_i.size - 1) // 2
+        if pairs:
+            i, k = tri_i[:pairs], tri_k[:pairs]
+            vals = _kernel_values(f, "arity-2 kernel", s_i[i], s_i[k])
+            total += complex(np.sum(vals * zc[i0 + k] * z_i[i]))
     return total
 
 
-def condition_value(f, alpha: float, quad: QuadratureSpec) -> float:
-    """Existence functional of an arity-2 kernel:
+def condition_value(f, alpha: float, lam_list, quad: QuadratureSpec | None = None) -> np.ndarray:
+    """Existence functional of an arity-2 kernel over growing windows
+    [-L, L]^2, one value per L in lam_list:
     the grid estimate of  integral of |f|^alpha * (1 + log_+(|f| / (psi(s) psi(u)))),
     with the reference envelope psi = kernels.psi(., 2/alpha, alpha), whose
     alpha-th power integrates to 1 over the line.
 
-    Monotone nondecreasing in the outer cutoff and under inner-cutoff
-    refinement by powers of ten, by construction of the grid.
+    The integrand is evaluated once, on the grid of the largest window (quad,
+    default QuadratureSpec(), with its outer cutoff replaced), and each
+    window sums its own cells; a window's value equals a pass over its own
+    grid up to rounding. Monotone nondecreasing in the window and under
+    inner-cutoff refinement by powers of ten, by construction of the grid.
     """
     if not (0.0 < alpha <= 2.0):
         raise ParameterError(f"alpha must be in (0, 2], got {alpha}")
+    lams = _check_windows(lam_list)
+    base = quad if quad is not None else QuadratureSpec()
 
     def integrand(s, u):
         fv = np.abs(np.asarray(f(s, u)))
@@ -291,4 +301,6 @@ def condition_value(f, alpha: float, quad: QuadratureSpec) -> float:
         out[pos] = fv[pos] ** alpha * (1.0 + np.log(np.maximum(ratio[pos], 1.0)))
         return out
 
-    return grid_integral_2d(integrand, quad, label="condition integrand")
+    return grid_integral_2d(
+        integrand, replace(base, outer_cutoff=lams[-1]), lams, label="condition integrand"
+    )

@@ -16,7 +16,7 @@ evaluations comparable:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -69,14 +69,49 @@ def axis_cells(quad: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
     return mid[keep], (hi - lo)[keep]
 
 
-def grid_integral_2d(func, quad: QuadratureSpec, label: str = "integrand") -> float:
-    """Midpoint-rule estimate of a nonnegative integrand over the 2-d grid.
+def _check_windows(lam_list) -> tuple[float, ...]:
+    """Window half-widths L as floats, checked to be finite, > 1 and
+    strictly increasing."""
+    lams = tuple(float(x) for x in lam_list)
+    # written so that a NaN window fails the check
+    if len(lams) < 1 or not all(1.0 < x < np.inf for x in lams):
+        raise ParameterError(f"windows must be finite reals > 1, got {lam_list}")
+    if any(b <= a for a, b in zip(lams, lams[1:])):
+        raise ParameterError(f"windows must be strictly increasing, got {lam_list}")
+    return lams
 
-    func must accept two broadcast arrays (s, u) and return the integrand on
-    the full mesh; any non-finite cell aborts with the offending midpoint.
+
+def _window_runs(quad: QuadratureSpec, mid: np.ndarray, lams) -> list[tuple[int, int]]:
+    """(start, stop) of each window's cells among mid, the cells of quad's
+    grid at a cutoff no smaller than any window. Window L holds the cells
+    that axis_cells gives at cutoff L; the larger grid holds them, since
+    enlarging the cutoff only adds cells, as one run of its sorted cells."""
+    runs = []
+    for lam in lams:
+        inside = np.flatnonzero(np.isin(mid, axis_cells(replace(quad, outer_cutoff=lam))[0]))
+        runs.append((inside[0], inside[-1] + 1) if inside.size else (0, 0))
+    return runs
+
+
+def grid_integral_2d(func, quad: QuadratureSpec, windows, label: str = "integrand") -> np.ndarray:
+    """Midpoint-rule estimates of a nonnegative integrand over the windows
+    [-L, L]^2 of the 2-d grid, one per L in windows, from one pass over the
+    grid: L may not exceed quad.outer_cutoff.
+
+    Window L sums the cells that axis_cells gives at cutoff L, one run of
+    the grid's sorted cells (_window_runs), so each window reads its own
+    square of every block of rows. func must accept two broadcast arrays
+    (s, u) and return the integrand on the full mesh; any non-finite cell
+    aborts with the offending midpoint.
     """
+    lams = _check_windows(windows)
+    if lams[-1] > quad.outer_cutoff:
+        raise ParameterError(
+            f"windows must not exceed the outer cutoff {quad.outer_cutoff}, got {lams[-1]}"
+        )
     mid, w = axis_cells(quad)
-    total = 0.0
+    runs = _window_runs(quad, mid, lams)
+    totals = np.zeros(len(lams))
     block = max(1, int(4_000_000 // max(mid.size, 1)))
     for i0 in range(0, mid.size, block):
         i1 = min(mid.size, i0 + block)
@@ -87,5 +122,9 @@ def grid_integral_2d(func, quad: QuadratureSpec, label: str = "integrand") -> fl
                 f"{label} is non-finite at cell midpoint "
                 f"({mid[i0 + bi]!r}, {mid[bj]!r})"
             )
-        total += float(np.einsum("ij,i,j->", vals, w[i0:i1], w))
-    return total
+        for k, (a, b) in enumerate(runs):
+            r0, r1 = max(i0, a), min(i1, b)
+            if r0 < r1:
+                sub = vals[r0 - i0 : r1 - i0, a:b]
+                totals[k] += float(np.einsum("ij,i,j->", sub, w[r0:r1], w[a:b]))
+    return totals

@@ -13,7 +13,6 @@ import pytest
 
 from harmstable import (
     ModelParams,
-    QuadratureSpec,
     RngStream,
     build_jump_measure,
     condition_value,
@@ -212,10 +211,7 @@ def test_growth_contrast(criterion_recorder, lln_report):
 
 def test_existence_certifier(criterion_recorder):
     started = time.monotonic()
-    cond = [
-        condition_value(lambda s, u: kernel_h(s, u, P), P.alpha, QuadratureSpec(outer_cutoff=lam))
-        for lam in (50.0, 100.0)
-    ]
+    cond = condition_value(lambda s, u: kernel_h(s, u, P), P.alpha, (50.0, 100.0))
     cond_growth = cond[1] / cond[0] - 1.0
     stable = envelope_quadrature(0.7, 1.2, (50.0, 100.0))
     stable_growth = stable[1] / stable[0] - 1.0

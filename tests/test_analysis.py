@@ -430,6 +430,14 @@ class TestEnvelopeQuadrature:
             atol=0.0,
         )
 
+    @pytest.mark.parametrize("r1", [0.7, 0.4])
+    @pytest.mark.parametrize("lams", [(50.0, 100.0), (2.0, 7.0, 50.0)])
+    def test_one_pass_matches_single_window_passes(self, r1, lams):
+        together = envelope_quadrature(r1, 1.2, lams)
+        alone = [envelope_quadrature(r1, 1.2, (lam,))[0] for lam in lams]
+        np.testing.assert_allclose(together, alone, rtol=1e-15, atol=0.0)
+        assert together[-1] == alone[-1]
+
     def test_working_set_is_blocked(self):
         # the far part holds one block of rows at a time, never every row
         peak = traced_peak_mib(lambda: envelope_quadrature(0.7, 1.2, (50.0, 100.0)))

@@ -145,6 +145,18 @@ class TestQuadraticStatistic:
             with pytest.raises(ParameterError):
                 quadratic_statistic(y, m)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_square_raises(self):
+        # |Y_0|^2 of these atoms overflows
+        y = simulate_increments(overflowing_measure(), 2, P)
+        assert np.all(np.isfinite(y))
+        with pytest.raises(SingularityError, match="non-finite"):
+            quadratic_statistic(y, 2)
+
+
+def overflowing_measure() -> JumpMeasure:
+    return JumpMeasure(np.array([-1.0, 0.5]), np.array([1e200 + 0j, 1e200 + 0j]), 2.0, 1.0)
+
 
 class TestRealizedU:
     def test_equals_qv_integral_of_spectral_density(self):
@@ -153,6 +165,11 @@ class TestRealizedU:
         expected = 2.0 * float(np.sum(phi_qv(jm.locations, P) * weights))
         assert realized_U(jm, P) == pytest.approx(expected, rel=1e-14)
         assert realized_U(jm, P) > 0.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_square_raises(self):
+        with pytest.raises(SingularityError, match="non-finite"):
+            realized_U(overflowing_measure(), P)
 
 
 class TestNormalizedError:

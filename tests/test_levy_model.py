@@ -18,15 +18,14 @@ from harmstable import (
     condition_value,
     double_integrate,
     integrate_qv,
+    kernel_h,
     kernel_r,
     poisson_arrivals,
     psi,
     series_unit_scale,
 )
 from harmstable.levy_model import (
-    _PAIR_BLOCK,
     _UNIT_SERIES_SCALE,
-    _pair_blocks,
     estimate_series_unit_scale,
 )
 from oracles import traced_peak_mib
@@ -238,7 +237,8 @@ class TestPathwiseIntegrals:
         double_integrate(build_jump_measure(1.2, 5.0, 400, RngStream(12, 0)), guarded)
 
     def test_double_integrate_matches_direct_sum_across_chunks(self):
-        # 3000 atoms walk 275 pair blocks inside double_integrate
+        # 3000 atoms walk 24 row tiles of 128, so 276 rectangle tiles and 24
+        # diagonal tiles, inside double_integrate
         jm = build_jump_measure(1.2, 5.0, 3000, RngStream(12, 1))
         f = lambda s, u: np.exp(1j * (s - u)) / (1.0 + np.abs(s * u))
         got = double_integrate(jm, f)
@@ -290,24 +290,47 @@ class TestPathwiseIntegrals:
                 three_atoms(), lambda s, u: np.where(s > 1.0, np.inf, 1.0)
             )
 
+    def test_nonfinite_kernel_in_rectangle_tile_reports_pair(self):
+        # atoms 200 and 5 meet in a rectangle tile (rows 128-255, columns
+        # 0-127), where the kernel sees 2-d broadcast views
+        jm = build_jump_measure(1.2, 5.0, 300, RngStream(12, 2))
+        s = jm.locations
+        f = lambda x, y: np.where((x == s[200]) & (y == s[5]), np.inf, 1.0)
+        with pytest.raises(SingularityError) as err:
+            double_integrate(jm, f)
+        assert f"({s[200]!r}, {s[5]!r})" in str(err.value)
+
     def test_negative_qv_integrand_rejected(self):
         with pytest.raises(ParameterError):
             integrate_qv(three_atoms(), lambda s: s)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_qv_raises(self):
+        # |v_i|^2 of these atoms overflows
+        jm = JumpMeasure(np.array([-1.0, 0.5]), np.array([1e200 + 0j, 1e200 + 0j]), 2.0, 1.0)
+        with pytest.raises(SingularityError, match="non-finite"):
+            integrate_qv(jm, lambda s: 1.0)
+
 
 class TestPairBlocks:
-    # 181 atoms give 16,290 pairs (one short block), 182 give 16,471 (just
-    # past one block) and 1,000 give 499,500 (30 full blocks and a remainder)
-    @pytest.mark.parametrize("n", [0, 1, 2, 3, 181, 182, 183, 1000])
-    def test_walks_tril_indices_in_order(self, n):
-        blocks = list(_pair_blocks(n))
-        assert all(i.size == k.size <= _PAIR_BLOCK for i, k in blocks)
-        assert all(i.size == _PAIR_BLOCK for i, _ in blocks[:-1])
+    # 127 atoms fill one short diagonal tile, 128 one full tile and 129 add a
+    # rectangle and a one-atom diagonal tile; 181-183 end on a short row
+    # tile of 53-55 atoms and 1,000 atoms walk 8 row tiles, the last of 104
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 127, 128, 129, 181, 182, 183, 257, 1000])
+    def test_kernel_sees_each_pair_once(self, n):
+        jm = JumpMeasure(np.arange(n, dtype=float), np.ones(n, complex), float(max(n, 1)), 1.0)
+        seen = []
+
+        def recording(s, u):
+            s, u = np.broadcast_arrays(s, u)
+            seen.append(np.searchsorted(jm.locations, s.ravel()) * n
+                        + np.searchsorted(jm.locations, u.ravel()))
+            return np.ones(s.shape)
+
+        got = double_integrate(jm, recording)
         want_i, want_k = np.tril_indices(n, -1)
-        got_i = np.concatenate([i for i, _ in blocks] or [want_i])
-        got_k = np.concatenate([k for _, k in blocks] or [want_k])
-        np.testing.assert_array_equal(got_i, want_i)
-        np.testing.assert_array_equal(got_k, want_k)
+        np.testing.assert_array_equal(np.sort(np.concatenate(seen or [[]])), want_i * n + want_k)
+        assert got == n * (n - 1) // 2
 
     # measured 1.7 MiB at both sizes [32.4 and 151.8 MiB with a dense
     # rows x atoms grid per block of rows]
@@ -326,22 +349,36 @@ class TestConditionValue:
         # full-plane value is exactly 1; the grid sees almost all of it
         alpha = 1.2
         f = lambda s, u: psi(s, 2.0 / alpha, alpha) * psi(u, 2.0 / alpha, alpha)
-        quad = QuadratureSpec(outer_cutoff=200.0, cells_per_decade=16)
-        got = condition_value(f, alpha, quad)
+        (got,) = condition_value(f, alpha, (200.0,), QuadratureSpec(cells_per_decade=16))
         assert got == pytest.approx(1.0, rel=2e-2)
         assert got < 1.0
 
     def test_monotone_in_cutoff(self):
         alpha = 1.2
         f = lambda s, u: np.exp(-np.abs(s) - np.abs(u))
-        vals = [
-            condition_value(f, alpha, QuadratureSpec(outer_cutoff=lam)) for lam in (20.0, 50.0)
-        ]
+        vals = [condition_value(f, alpha, (lam,))[0] for lam in (20.0, 50.0)]
         assert vals[0] < vals[1]
+        assert np.all(np.diff(condition_value(f, alpha, (20.0, 50.0))) > 0.0)
+
+    @pytest.mark.parametrize("lams", [(50.0, 100.0), (2.0, 7.0, 50.0)])
+    def test_one_pass_matches_single_window_passes(self, lams):
+        p = ModelParams(alpha=1.2, hurst=0.75)
+        f = lambda s, u: kernel_h(s, u, p)
+        together = condition_value(f, p.alpha, lams)
+        alone = [condition_value(f, p.alpha, (lam,))[0] for lam in lams]
+        np.testing.assert_allclose(together, alone, rtol=1e-15, atol=0.0)
+        assert together[-1] == alone[-1]
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(ParameterError):
-            condition_value(lambda s, u: 0.0 * s * u, 2.5, QuadratureSpec())
+            condition_value(lambda s, u: 0.0 * s * u, 2.5, (50.0,))
+
+    @pytest.mark.parametrize(
+        "lams", [(), (0.5,), (np.nan,), (np.inf,), (50.0, 50.0), (100.0, 50.0)]
+    )
+    def test_rejects_bad_windows(self, lams):
+        with pytest.raises(ParameterError):
+            condition_value(lambda s, u: np.exp(-np.abs(s) - np.abs(u)), 1.2, lams)
 
 
 def bits(a: np.ndarray) -> np.ndarray:
