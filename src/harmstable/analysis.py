@@ -22,7 +22,6 @@ from .errors import ConfigError, ParameterError, QuadratureError
 from .harmonizable import (
     normalized_error,
     quadratic_statistic,
-    realized_U,
     rosenblatt_fast,
     simulate_increments,
     t_nodes_for,
@@ -227,8 +226,7 @@ def run_lln_experiment(
     def one(i: int) -> tuple[np.ndarray, np.ndarray]:
         rng = RngStream(master_seed=seed, stream_index=i)
         jm = build_jump_measure(p.alpha, half_width, n_terms, rng)
-        y = simulate_increments(jm, n_max, p)
-        u = realized_U(jm, p)
+        y, u = simulate_increments(jm, n_max, p)
         qs = np.array([quadratic_statistic(y, m) for m in ns])
         return np.abs(qs / np.array(ns, dtype=float) - u), qs
 
@@ -282,8 +280,8 @@ def run_clt_experiment(
     def one_error(i: int) -> float:
         rng = RngStream(master_seed=seed, stream_index=i)
         jm = build_jump_measure(p.alpha, half_width, n_terms, rng)
-        y = simulate_increments(jm, n, p)
-        return normalized_error(quadratic_statistic(y, n), realized_U(jm, p), n, p)
+        y, u = simulate_increments(jm, n, p)
+        return normalized_error(quadratic_statistic(y, n), u, n, p)
 
     def one_limit(i: int) -> float:
         rng = RngStream(master_seed=seed, stream_index=replications + i)
@@ -353,8 +351,8 @@ def identity_suite(
 
     The modulated pair sums come from prefix sums of a exp(ijs), a = r v
     (_pair_table_sums), and the level-m kernel pair sum is their total over
-    j < n_increments. Every other integral runs on the per-atom factors a,
-    so r is evaluated once per trial: QV is sum |a_i|^2, the generic pair
+    j < n_increments. Y_j and U come from simulate_increments and QV = sum
+    |a_i|^2 from integrate_qv, independent of that pass; the generic pair
     walk cross-checks the j = 0 sum with the kernel 1, and on every tenth
     trial recomputes the level-m sum with the kernel m^(1-2H) g_m(s - u).
     The sweep thus never builds kernel_hn's mask and r factors; the kernel
@@ -384,7 +382,7 @@ def identity_suite(
         if not abs(pair_j[0] - pair_direct) <= 1e-9 * max(abs(pair_j[0]), 1.0):
             raise QuadratureError("pair-sum evaluators disagree on the base kernel")
 
-        y = simulate_increments(jm, n_increments, p)
+        y, u = simulate_increments(jm, n_increments, p)
         head = y[: _SQUARE_J_MAX + 1]
         lhs = head.real**2 + head.imag**2
         pair = np.r_[pair_direct, pair_j[1 : head.size]]
@@ -394,7 +392,6 @@ def identity_suite(
         if not np.all(np.isfinite(rels)):
             raise QuadratureError(f"trial {i}: non-finite identity residual")
 
-        u = realized_U(jm, p)
         q_m = quadratic_statistic(y, n_increments)
         lhs = normalized_error(q_m, u, n_increments, p)
         if i % 10 == 0:

@@ -33,7 +33,6 @@ from .analysis import (
 from .errors import ConfigError, HarmstableError
 from .harmonizable import (
     quadratic_statistic,
-    realized_U,
     rosenblatt_fast,
     simulate_increments,
     t_nodes_for,
@@ -286,12 +285,11 @@ def _simulate(cfg: dict) -> tuple[int, str]:
     _check_resolution(n, cfg["n_terms"], cfg["half_width"])
     rng = RngStream(master_seed=cfg["seed"], stream_index=0)
     jm = build_jump_measure(p.alpha, cfg["half_width"], cfg["n_terms"], rng)
-    y = simulate_increments(jm, n, p)
+    y, u = simulate_increments(jm, n, p)
     summary = f"simulate: n={n} atoms={jm.n_terms}"
     if cfg["format"] == "csv":
         _write_csv(cfg["out"], ["j", "re", "im"], ([j, v.real, v.imag] for j, v in enumerate(y)))
         return 0, summary
-    u = realized_U(jm, p)
     results = {
         "u_realized": u,
         "rosenblatt": rosenblatt_fast(jm, p, t_nodes=t_nodes_for(jm.half_width)),

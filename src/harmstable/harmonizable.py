@@ -20,8 +20,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import ParameterError, SingularityError
-from .kernels import ZERO_FLOOR, ModelParams, phi_qv, r_from_half_angle
-from .levy_model import JumpMeasure, integrate_qv
+from .kernels import ZERO_FLOOR, ModelParams, r_from_half_angle
+from .levy_model import JumpMeasure
 
 __all__ = [
     "simulate_increments",
@@ -45,18 +45,19 @@ _ORDERS = 14
 _leggauss = lru_cache(maxsize=16)(leggauss)
 
 
-def simulate_increments(jm: JumpMeasure, n: int, p: ModelParams) -> np.ndarray:
-    """Evaluate Y_j = sum_i exp(i j s_i) c_i, c_i = r(s_i) v_i, for j < n.
+def simulate_increments(jm: JumpMeasure, n: int, p: ModelParams) -> tuple[np.ndarray, float]:
+    """Return Y_j = sum_i exp(i j s_i) c_i, c_i = r(s_i) v_i, for j < n, and
+    the realized limit U = sum_i |c_i|^2 of Q_n / n, summed block by block.
 
     With B = isqrt(n) and K = ceil(n / B), every j < B*K is kB + b for
-    b < B, k < K, and exp(i (kB + b) s) = exp(i b s) exp(i kB s). So per
-    block of atoms a baby table exp(i b s) and a giant table
-    c exp(i kB s) are built by repeated multiplication from exp(i s) = h * h,
-    h = exp(i s/2), which also gives r(s). Their product (B x atoms) @
-    (atoms x K) adds Y_{kB+b} into entry (b, k) of a B x K accumulator,
-    read out k-major. This is (B + K) * atoms table entries and one matrix
-    product in place of n * atoms rotation steps; each power carries at
-    most about n roundings, the same as a rotation recurrence.
+    b < B, k < K, and exp(i (kB + b) s) = exp(i b s) exp(i kB s). So per block
+    of atoms a baby table exp(i b s) and a giant table c exp(i kB s) are built
+    by repeated multiplication from exp(i s) = h * h, h = exp(i s/2), which
+    also gives r(s). Their product (B x atoms) @ (atoms x K) adds Y_{kB+b}
+    into entry (b, k) of a B x K accumulator, read out k-major: (B + K) * atoms
+    table entries and one matrix product in place of n * atoms rotation steps,
+    with at most about n roundings per power. A non-finite U raises
+    SingularityError; a finite U bounds each |Y_j| by sqrt(N U) over N atoms.
     """
     if n < 1:
         raise ParameterError(f"n must be a positive integer, got {n}")
@@ -71,19 +72,24 @@ def simulate_increments(jm: JumpMeasure, n: int, p: ModelParams) -> np.ndarray:
     h_buf, rot_buf, c_buf = np.empty((3, width), dtype=complex)
     baby_buf = np.empty(b * width, dtype=complex)
     giant_buf = np.empty(k * width, dtype=complex)
-    for i0 in range(0, s.size, _ATOM_BLOCK):
-        sb = s[i0 : i0 + _ATOM_BLOCK]
-        m = sb.size
-        # h = exp(i s/2) as kernels.half_angle_exp forms it, in h_buf
-        h = np.exp(np.multiply(sb, 0.5j, out=h_buf[:m]), out=h_buf[:m])
-        rot = np.multiply(h, h, out=rot_buf[:m])
-        r = r_from_half_angle(sb, h, p.gamma)
-        c = np.multiply(r, jm.values[i0 : i0 + m], out=c_buf[:m])
-        baby = _powers(baby_buf[: b * m].reshape(b, m), rot, 1.0)
-        step = np.multiply(baby[-1], rot, out=h_buf[:m])  # r is spent
-        giant = _powers(giant_buf[: k * m].reshape(k, m), step, c)
-        acc += baby @ giant.T
-    return acc.T.ravel()[:n]
+    u = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i0 in range(0, s.size, _ATOM_BLOCK):
+            sb = s[i0 : i0 + _ATOM_BLOCK]
+            m = sb.size
+            # h = exp(i s/2) as kernels.half_angle_exp forms it, in h_buf
+            h = np.exp(np.multiply(sb, 0.5j, out=h_buf[:m]), out=h_buf[:m])
+            rot = np.multiply(h, h, out=rot_buf[:m])
+            r = r_from_half_angle(sb, h, p.gamma)
+            c = np.multiply(r, jm.values[i0 : i0 + m], out=c_buf[:m])
+            u += float(np.sum(c.real**2 + c.imag**2))
+            baby = _powers(baby_buf[: b * m].reshape(b, m), rot, 1.0)
+            step = np.multiply(baby[-1], rot, out=h_buf[:m])  # r is spent
+            giant = _powers(giant_buf[: k * m].reshape(k, m), step, c)
+            acc += baby @ giant.T
+    if not math.isfinite(u):
+        raise SingularityError("realized limit U is non-finite: r(s_i) v_i or its square overflows")
+    return acc.T.ravel()[:n], u
 
 
 def _powers(table: np.ndarray, ratio: np.ndarray, first) -> np.ndarray:
@@ -95,9 +101,8 @@ def _powers(table: np.ndarray, ratio: np.ndarray, first) -> np.ndarray:
 
 
 def realized_U(jm: JumpMeasure, p: ModelParams) -> float:
-    """Realized limit of Q_n / n on these atoms: twice the quadratic-variation
-    integral of the spectral density phi."""
-    return 2.0 * integrate_qv(jm, lambda s: phi_qv(s, p))
+    """Realized limit sum_i |r(s_i) v_i|^2 of Q_n / n, from simulate_increments."""
+    return simulate_increments(jm, 1, p)[1]
 
 
 def quadratic_statistic(y: np.ndarray, m: int) -> float:
@@ -115,10 +120,14 @@ def quadratic_statistic(y: np.ndarray, m: int) -> float:
 
 
 def normalized_error(q_m: float, u_realized: float, m: int, p: ModelParams) -> float:
-    """Rescaled deviation m^(2-2H) * (Q_m / m - U)."""
+    """Rescaled deviation m^(2-2H) * (Q_m / m - U). A non-finite result
+    raises SingularityError."""
     if m < 1:
         raise ParameterError(f"m must be a positive integer, got {m}")
-    return float(m) ** (2.0 - 2.0 * p.hurst) * (q_m / m - u_realized)
+    err = float(m) ** (2.0 - 2.0 * p.hurst) * (q_m / m - u_realized)
+    if not math.isfinite(err):
+        raise SingularityError("normalized error is non-finite")
+    return err
 
 
 def t_nodes_for(half_width: float) -> int:

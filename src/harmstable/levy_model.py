@@ -166,14 +166,21 @@ def build_jump_measure(
         raise ParameterError(f"half_width must be finite and positive, got {half_width}")
     if n_terms < 1:
         raise ParameterError(f"n_terms must be a positive integer, got {n_terms}")
-    calibration = (2.0 * half_width) ** (1.0 / alpha) / series_unit_scale(alpha)
+    try:  # float power, which numpy's SIMD power can differ from in the last bit
+        calibration = (2.0 * half_width) ** (1.0 / alpha) / series_unit_scale(alpha)
+    except OverflowError:
+        raise SingularityError(f"calibration (2M)^(1/alpha) overflows at alpha={alpha}") from None
 
     g = rng.generator
     locations = g.uniform(-half_width, half_width, n_terms)
     weights = poisson_arrivals(n_terms, rng)
     angles = g.uniform(0.0, 2.0 * np.pi, n_terms)
-    # calibration * Gamma_i^(-1/alpha), in the arrivals' buffer
-    np.multiply(calibration, np.power(weights, -1.0 / alpha, out=weights), out=weights)
+    # calibration * Gamma_i^(-1/alpha), in the arrivals' buffer; the arrivals
+    # increase, so the first weight is the largest
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(calibration, np.power(weights, -1.0 / alpha, out=weights), out=weights)
+    if not math.isfinite(weights[0]):
+        raise SingularityError("atom value calibration * Gamma_1^(-1/alpha) overflows")
 
     for _ in range(64):
         # untied, any sort gives the stable order; ties redraw by stable order

@@ -246,7 +246,7 @@ def test_sampler_cross_validation(criterion_recorder):
     for i in range(draws):
         rng = RngStream(master_seed=CROSS_SEEDS[0], stream_index=i)
         jm = build_jump_measure(P.alpha, half_width, n_terms, rng)
-        series[i] = simulate_increments(jm, 1, P)[0].real
+        series[i] = simulate_increments(jm, 1, P)[0][0].real
 
     cells = 65536
     edges = np.linspace(-half_width, half_width, cells + 1)

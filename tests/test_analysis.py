@@ -210,9 +210,9 @@ class TestIdentitySuite:
         for head, key in ((None, "max_error_representation_residual"),
                           (17, "max_square_decomposition_residual")):
             def perturbed(jm, n, p, head=head):
-                y = simulate_increments(jm, n, p)
+                y, u = simulate_increments(jm, n, p)
                 y[np.argmax(np.abs(y[:head]))] *= 1.0 + 1e-6
-                return y
+                return y, u
 
             monkeypatch.setattr(analysis, "simulate_increments", perturbed)
             out = identity_suite(1, seed=58000, half_width=10.0, n_terms=1000, threads=1)
@@ -264,7 +264,7 @@ class TestIdentitySuite:
 
     def test_nonfinite_residual_raises(self, monkeypatch):
         monkeypatch.setattr(analysis, "simulate_increments",
-                            lambda jm, n, p: np.full(n, np.nan + 0j))
+                            lambda jm, n, p: (np.full(n, np.nan + 0j), 1.0))
         with pytest.raises(QuadratureError, match="non-finite identity residual"):
             identity_suite(1, seed=11, n_terms=200, threads=1)
 
@@ -478,12 +478,13 @@ class TestThreadCountInvariance:
         before = get()
         put(2)
         try:
-            two = simulate_increments(jm, 512, P)
+            two, u_two = simulate_increments(jm, 512, P)
             put(1)
-            one = simulate_increments(jm, 512, P)
+            one, u_one = simulate_increments(jm, 512, P)
         finally:
             put(before)
         np.testing.assert_array_equal(one, two)
+        assert u_one == u_two
 
 
 class TestParallelMapBlasHold:

@@ -417,6 +417,18 @@ class TestSimulateCommand:
         assert err.startswith("error:") and "non-finite" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    # 40^(1/0.005) overflows; at alpha 0.01 the calibration is finite but
+    # seed 19's first atom value overflows
+    @pytest.mark.parametrize("extra", [["--alpha", "0.005"], ["--alpha", "0.01", "--seed", "19"]])
+    def test_overflowing_measure_returns_2(self, capsys, extra):
+        rc, out, err = run_main(
+            capsys, ["simulate", "--hurst", "0.5", "--half-width", "20", "--n-terms", "100",
+                     "--n", "2", *extra]
+        )
+        assert rc == 2 and out == ""
+        assert err.startswith("error:") and "overflows" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_deterministic_output(self, capsys):
         _, out_a, _ = run_main(capsys, ["simulate", "--n", "8", "--n-terms", "100",
                                         "--half-width", "5", "--seed", "1"])
@@ -538,7 +550,7 @@ class TestWriteCsv:
         rc, _, _ = run_main(capsys, self.SIMULATE + ["--out", str(path)])
         assert rc == 0
         jm = build_jump_measure(1.2, 10.0, 1000, RngStream(12, 0))
-        y = simulate_increments(jm, 48, ModelParams(1.2, 0.75))
+        y, _ = simulate_increments(jm, 48, ModelParams(1.2, 0.75))
         np.testing.assert_array_equal(bits(read_increments(path.read_text())), bits(y))
 
     def test_stdout_gets_the_bytes_of_the_file(self, capsys, tmp_path):

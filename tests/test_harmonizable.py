@@ -1,5 +1,6 @@
 """Unit tests for coupled increments, Q_n, and the realized limit objects."""
 
+import contextlib
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from harmstable import (
+    HarmstableError,
     JumpMeasure,
     ModelParams,
     ParameterError,
@@ -65,7 +67,7 @@ class TestSimulateIncrements:
     def test_matches_direct_evaluation_across_resets(self):
         jm = small_measure(0, n_terms=300)
         n = 2098  # past 1024 and 2048; B = 45 baby and K = 47 giant steps
-        y = simulate_increments(jm, n, P)
+        y, _ = simulate_increments(jm, n, P)
         amp = kernel_r(jm.locations, P) * jm.values
         direct = np.exp(1j * np.outer(np.arange(n), jm.locations)) @ amp
         scale = np.abs(direct).max()
@@ -88,7 +90,7 @@ class TestSimulateIncrements:
         jm = JumpMeasure(s, jm.values, half_width, jm.calibration)
         c = kernel_r(s, P) * jm.values
         tol = 1e-12 * float(np.abs(c).sum())
-        y = simulate_increments(jm, n, P)
+        y, _ = simulate_increments(jm, n, P)
         dense = np.exp(1j * np.outer(np.arange(n), s)) @ c
         assert np.abs(y - dense).max() <= tol
         assert np.abs(y - recurrence_oracle(s, c, n)).max() <= tol
@@ -105,25 +107,28 @@ class TestSimulateIncrements:
         c = kernel_r(s, P) * jm.values
         tol = 1e-12 * float(np.abs(c).sum())
         for n in (1, 2, 17, 512):
-            y = simulate_increments(jm, n, P)
+            y, _ = simulate_increments(jm, n, P)
             assert np.abs(y - dense_increments(s, c, n)).max() <= tol
 
     def test_empty_measure_gives_zero_increments(self):
         empty = JumpMeasure(np.array([]), np.array([], complex), 1.0, 1.0)
-        np.testing.assert_array_equal(simulate_increments(empty, 5, P), np.zeros(5))
+        y, u = simulate_increments(empty, 5, P)
+        np.testing.assert_array_equal(y, np.zeros(5))
+        assert u == 0.0 and type(u) is float
 
     def test_provenance_copied(self):
         # the increments are a plain vector; the measure they came from
         # carries the window and the atom count
         jm = small_measure(1)
-        y = simulate_increments(jm, 8, P)
+        y, _ = simulate_increments(jm, 8, P)
         assert type(y) is np.ndarray and y.shape == (8,) and y.dtype == complex
         assert jm.half_width == 10.0 and jm.n_terms == 400
 
     def test_deterministic(self):
-        a = simulate_increments(small_measure(2), 32, P)
-        b = simulate_increments(small_measure(2), 32, P)
+        a, u_a = simulate_increments(small_measure(2), 32, P)
+        b, u_b = simulate_increments(small_measure(2), 32, P)
         np.testing.assert_array_equal(a, b)
+        assert u_a == u_b
 
     def test_rejects_bad_n(self):
         with pytest.raises(ParameterError):
@@ -132,7 +137,7 @@ class TestSimulateIncrements:
 
 class TestQuadraticStatistic:
     def test_partial_sums(self):
-        y = simulate_increments(small_measure(4), 64, P)
+        y, _ = simulate_increments(small_measure(4), 64, P)
         csum = np.cumsum(np.abs(y) ** 2)
         for m in (1, 2, 17, 64):
             assert quadratic_statistic(y, m) == pytest.approx(
@@ -140,16 +145,16 @@ class TestQuadraticStatistic:
             )
 
     def test_rejects_out_of_range_m(self):
-        y = simulate_increments(small_measure(4), 16, P)
+        y, _ = simulate_increments(small_measure(4), 16, P)
         for m in (0, -1, 17):
             with pytest.raises(ParameterError):
                 quadratic_statistic(y, m)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_square_raises(self):
-        # |Y_0|^2 of these atoms overflows
-        y = simulate_increments(overflowing_measure(), 2, P)
-        assert np.all(np.isfinite(y))
+        # |Y_0|^2 overflows; simulate_increments raises first on such atoms,
+        # since their U overflows too
+        y = np.array([1e200 + 0j, 1e200 + 0j])
         with pytest.raises(SingularityError, match="non-finite"):
             quadratic_statistic(y, 2)
 
@@ -158,15 +163,59 @@ def overflowing_measure() -> JumpMeasure:
     return JumpMeasure(np.array([-1.0, 0.5]), np.array([1e200 + 0j, 1e200 + 0j]), 2.0, 1.0)
 
 
-class TestRealizedU:
-    def test_equals_qv_integral_of_spectral_density(self):
-        jm = small_measure(5)
-        weights = np.abs(jm.values) ** 2
-        expected = 2.0 * float(np.sum(phi_qv(jm.locations, P) * weights))
-        assert realized_U(jm, P) == pytest.approx(expected, rel=1e-14)
-        assert realized_U(jm, P) > 0.0
+def phi_oracle_u(jm: JumpMeasure, p: ModelParams) -> float:
+    """U = 2 sum_i phi(s_i) |v_i|^2, the route through the spectral density."""
+    return 2.0 * float(np.sum(phi_qv(jm.locations, p) * np.abs(jm.values) ** 2))
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
+
+def long_double_u(jm: JumpMeasure, p: ModelParams) -> float:
+    """U = sum_i |r(s_i) v_i|^2 with |r(s)|^2 = (2 sin(s/2) / s)^2 |s|^(2 gamma),
+    all in long double."""
+    s = jm.locations.astype(np.longdouble)
+    v = jm.values
+    w = v.real.astype(np.longdouble) ** 2 + v.imag.astype(np.longdouble) ** 2
+    r2 = (2.0 * np.sin(0.5 * s) / s) ** 2 * np.abs(s) ** (2 * np.longdouble(p.gamma))
+    return float(np.sum(w * r2))
+
+
+@pytest.mark.filterwarnings("error")
+class TestRealizedU:
+    # U from the increment pass against the phi route, at atom counts around
+    # the pass's 4,096-atom block
+    @settings(max_examples=10)
+    @given(
+        alpha=st.floats(0.5, 1.99),
+        hurst=st.floats(0.01, 0.99),
+        half_width=st.floats(1.0, 100.0),
+        stream=st.integers(0, 2**16),
+    )
+    @example(alpha=1.2, hurst=0.75, half_width=50.0, stream=0)  # gamma < 0
+    @example(alpha=1.9, hurst=0.2, half_width=50.0, stream=0)  # gamma > 0
+    def test_equals_qv_integral_of_spectral_density(self, alpha, hurst, half_width, stream):
+        p = ModelParams(alpha, hurst)
+        for n_terms in MULTI_BLOCK:
+            jm = build_jump_measure(alpha, half_width, n_terms, RngStream(59, stream))
+            _, u = simulate_increments(jm, 3, p)
+            assert u > 0.0
+            assert u == pytest.approx(phi_oracle_u(jm, p), rel=1e-14)
+            assert realized_U(jm, p) == u
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_small_alpha_matches_long_double(self, seed):
+        # phi's |s|^(-2H-2/alpha) overflows on the first two of these measures,
+        # where the amplitudes and their squares stay finite
+        p = ModelParams(0.02, 0.5)
+        jm = build_jump_measure(p.alpha, 20.0, 20_000, RngStream(seed, 0))
+        y, u = simulate_increments(jm, 20, p)
+        assert np.all(np.isfinite(y))
+        assert u == pytest.approx(long_double_u(jm, p), rel=1e-13)
+
+    def test_overflowing_amplitude_raises(self):
+        # |r(-1e-8)| is about (1e-8)^gamma = 1e396 at alpha 0.02, H 0.5
+        jm = JumpMeasure(np.array([-1e-8, 0.5]), np.array([1 + 0j, 1 + 0j]), 2.0, 1.0)
+        with pytest.raises(SingularityError, match="non-finite"):
+            simulate_increments(jm, 4, ModelParams(0.02, 0.5))
+
     def test_overflowing_square_raises(self):
         with pytest.raises(SingularityError, match="non-finite"):
             realized_U(overflowing_measure(), P)
@@ -185,6 +234,11 @@ class TestNormalizedError:
         with pytest.raises(ParameterError):
             normalized_error(1.0, 1.0, 0, P)
 
+    def test_overflowing_result_raises(self):
+        # 4^1.5 * 2.5e307 overflows
+        with pytest.raises(SingularityError, match="non-finite"):
+            normalized_error(1e308, 0.0, 4, ModelParams(1.2, 0.25))
+
 
 class TestCouplingIdentity:
     def test_rescaled_error_equals_pair_sum_exactly(self):
@@ -192,11 +246,46 @@ class TestCouplingIdentity:
         # holds atom by atom, not just in distribution
         jm = small_measure(6)
         n = 64
-        y = simulate_increments(jm, n, P)
+        y, u = simulate_increments(jm, n, P)
         q_n = quadratic_statistic(y, n)
-        lhs = normalized_error(q_n, realized_U(jm, P), n, P)
+        lhs = normalized_error(q_n, u, n, P)
         rhs = 2.0 * complex(double_integrate(jm, lambda s, u: kernel_hn(s, u, n, P))).real
         assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-13)
+
+
+@pytest.mark.filterwarnings("error")
+class TestParameterBox:
+    # alpha in [0.005, 1.99] with extra draws near both ends, hurst on both
+    # sides of 1 - 1/alpha (both signs of gamma), and windows that are not
+    # multiples of the limit draw's cell width 1/2
+    @settings(max_examples=500)
+    @given(
+        alpha=st.one_of(st.floats(0.005, 1.99), st.floats(0.005, 0.05),
+                        st.floats(1.9, 1.99), st.sampled_from([0.005, 1.99])),
+        hurst=st.one_of(st.floats(0.01, 0.99), st.sampled_from([0.01, 0.99])),
+        half_width=st.one_of(st.floats(1.0, 200.0), st.sampled_from([1.0, 1.3, 7.25, 200.0])),
+        n_terms=st.integers(1, 2000),
+        n=st.integers(1, 64),
+        stream=st.integers(0, 2**16),
+    )
+    @example(alpha=1.9, hurst=0.2, half_width=7.25, n_terms=2000, n=64, stream=0)  # gamma > 0
+    @example(alpha=0.02, hurst=0.5, half_width=20.0, n_terms=2000, n=20, stream=0)  # gamma < 0
+    def test_pipeline_is_finite_or_raises(self, alpha, hurst, half_width, n_terms, n, stream):
+        # each step returns finite values or raises a HarmstableError
+        p = ModelParams(alpha, hurst)
+        try:
+            jm = build_jump_measure(alpha, half_width, n_terms, RngStream(67, stream))
+        except HarmstableError:
+            return
+        assert np.all(np.isfinite(jm.values))
+        with contextlib.suppress(HarmstableError):
+            y, u = simulate_increments(jm, n, p)
+            assert np.all(np.isfinite(y)) and math.isfinite(u)
+            q = quadratic_statistic(y, n)
+            assert math.isfinite(q)
+            assert math.isfinite(normalized_error(q, u, n, p))
+        with contextlib.suppress(HarmstableError):
+            assert math.isfinite(rosenblatt_fast(jm, p))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -166,6 +166,19 @@ class TestBuildJumpMeasure:
         with pytest.raises(ParameterError):
             build_jump_measure(1.2, 10.0, 0, r)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_calibration_raises(self):
+        # 40^(1/0.005) = 40^200 overflows a float
+        with pytest.raises(SingularityError, match="calibration"):
+            build_jump_measure(0.005, 20.0, 100, RngStream(0, 0))
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_atom_value_raises(self):
+        # the calibration 1.8e160 is finite, but this stream's first arrival
+        # is 0.0295, and 0.0295^(-100) = 9.9e152 takes the product past 1.8e308
+        with pytest.raises(SingularityError, match="atom value"):
+            build_jump_measure(0.01, 20.0, 100, RngStream(19, 0))
+
 
 def textbook_scale(alpha: float) -> float:
     # scale of the real part of the convergent unit series, known in closed
