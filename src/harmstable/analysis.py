@@ -1,9 +1,10 @@
 """Monte Carlo experiment runners and statistical verdicts.
 
 Each runner draws independent realizations on per-replication random
-streams, aggregates them in stream-index order, and returns an
-ExperimentReport that is bit-reproducible from its arguments, regardless
-of how many worker threads executed the replication loop.
+streams, aggregates them in stream-index order, and returns its samples
+(one row per replication, one column per n) and the results block of its
+JSON report. Both are bit-reproducible from the arguments, regardless of
+how many worker threads executed the replication loop.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import glob
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from functools import cache
 
 import numpy as np
@@ -32,7 +33,6 @@ from .quadrature import QuadratureSpec, _check_windows, _window_runs, axis_cells
 from .rng_stable import RngStream, sample_isotropic_stable
 
 __all__ = [
-    "ExperimentReport",
     "run_lln_experiment",
     "run_clt_experiment",
     "iid_stable_qv_experiment",
@@ -42,28 +42,6 @@ __all__ = [
     "kernel_limit_check",
     "envelope_quadrature",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class ExperimentReport:
-    """Outcome of one experiment: the samples (one row per replication, one
-    column per n), per-n summaries, fitted slope and KS distance."""
-
-    samples: np.ndarray
-    per_n: tuple[dict, ...] = ()
-    slope: float | None = None
-    slope_stderr: float | None = None
-    ks_distance: float | None = None
-    extras: dict = field(default_factory=dict)
-
-    def results_dict(self) -> dict:
-        """The results block of the JSON report schema."""
-        return {
-            "per_n": [dict(row) for row in self.per_n],
-            "slope": self.slope,
-            "slope_stderr": self.slope_stderr,
-            "ks_distance": self.ks_distance,
-        }
 
 
 def _worker_count(threads: int) -> int:
@@ -153,9 +131,9 @@ def _check_n_list(n_list) -> tuple[int, ...]:
     return ns
 
 
-def _quartiles(samples: np.ndarray, ns) -> tuple[dict, ...]:
+def _quartiles(samples: np.ndarray, ns) -> list[dict]:
     """Median and quartiles of each column of samples, one row per n."""
-    return tuple(
+    return [
         {
             "n": int(n),
             "median": float(np.median(col)),
@@ -163,7 +141,7 @@ def _quartiles(samples: np.ndarray, ns) -> tuple[dict, ...]:
             "q75": float(np.quantile(col, 0.75)),
         }
         for n, col in zip(ns, samples.T)
-    )
+    ]
 
 
 def ks_two_sample(a, b) -> float:
@@ -209,14 +187,15 @@ def run_lln_experiment(
     replications: int,
     seed: int,
     threads: int = 0,
-) -> ExperimentReport:
+) -> tuple[np.ndarray, dict]:
     """Coupled law-of-large-numbers check: per replication, simulate one
-    realization and record |Q_n/n - U| at each n; summarize medians and fit
-    the log-log decay slope (theory: 2H - 2).
+    realization and record |Q_n/n - U| at each n. Returns those errors and
+    results: their quartiles per n, the log-log slope of the medians
+    (theory: 2H - 2), and the median Q_n per n with its slope (theory: 1).
 
-    The slope is reported as None when any median error sits at rounding
-    level relative to the statistic itself, since no decay rate is
-    measurable there (degenerate measures with very few atoms hit this)."""
+    Both slopes are None when any median error sits at rounding level
+    relative to the statistic itself, since no decay rate is measurable
+    there (degenerate measures with very few atoms hit this)."""
     ns = _check_n_list(n_list)
     if replications < 50:
         raise ParameterError(f"replications must be >= 50, got {replications}")
@@ -238,17 +217,18 @@ def run_lln_experiment(
     medians = [row["median"] for row in per_n]
     q_medians = [float(np.median(qstats[:, k])) for k in range(len(ns))]
     floors = [1e-12 * q / n for q, n in zip(q_medians, ns)]
-    slope = stderr = None
-    if len(ns) >= 3 and all(m > f for m, f in zip(medians, floors)):
+    slope = stderr = q_slope = q_stderr = None
+    if len(ns) >= 3 and all(m > f > 0.0 for m, f in zip(medians, floors)):
         slope, stderr = loglog_slope(zip(ns, medians))
-    extras = {"q_median_per_n": [{"n": int(n), "q_median": q} for n, q in zip(ns, q_medians)]}
-    if len(ns) >= 3 and all(q > 0.0 for q in q_medians):
         q_slope, q_stderr = loglog_slope(zip(ns, q_medians))
-        extras["q_slope"] = q_slope
-        extras["q_slope_stderr"] = q_stderr
-    return ExperimentReport(
-        samples=errors, per_n=per_n, slope=slope, slope_stderr=stderr, extras=extras
-    )
+    return errors, {
+        "per_n": per_n,
+        "slope": slope,
+        "slope_stderr": stderr,
+        "q_median_per_n": [{"n": int(n), "q_median": q} for n, q in zip(ns, q_medians)],
+        "q_slope": q_slope,
+        "q_slope_stderr": q_stderr,
+    }
 
 
 def run_clt_experiment(
@@ -259,12 +239,12 @@ def run_clt_experiment(
     replications: int,
     seed: int,
     threads: int = 0,
-) -> ExperimentReport:
+) -> tuple[np.ndarray, dict]:
     """Distributional check of the rescaled error: sample A collects
     n^(2-2H)(Q_n/n - U) on fresh realizations, sample B collects realized
-    double-integral limits on independent fresh realizations, and the report
-    carries their two-sample KS distance and, as its one sample column, A
-    followed by B. The limit draws use t_nodes_for(half_width)
+    double-integral limits on independent fresh realizations. Returns one
+    sample column, A followed by B, and results holding their two-sample
+    KS distance. The limit draws use t_nodes_for(half_width)
     Gauss-Legendre nodes."""
     if not p.clt_regime:
         raise ConfigError(
@@ -290,10 +270,8 @@ def run_clt_experiment(
 
     sample_a = np.array(_parallel_map(one_error, replications, threads))
     sample_b = np.array(_parallel_map(one_limit, replications, threads))
-    return ExperimentReport(
-        samples=np.concatenate((sample_a, sample_b))[:, None],
-        ks_distance=ks_two_sample(sample_a, sample_b),
-    )
+    samples = np.concatenate((sample_a, sample_b))[:, None]
+    return samples, {"ks_distance": ks_two_sample(sample_a, sample_b)}
 
 
 def iid_stable_qv_experiment(
@@ -302,9 +280,11 @@ def iid_stable_qv_experiment(
     replications: int,
     seed: int,
     threads: int = 0,
-) -> ExperimentReport:
+) -> tuple[np.ndarray, dict]:
     """Contrast case: quadratic variation of iid isotropic stable draws grows
-    like n^(2/alpha), unlike the order-n growth of the coupled model."""
+    like n^(2/alpha), unlike the order-n growth of the coupled model.
+    Returns Q_n per replication and n, and results: its quartiles per n and
+    the log-log slope of the medians."""
     ns = _check_n_list(n_list)
     if replications < 100:
         raise ParameterError(f"replications must be >= 100, got {replications}")
@@ -322,7 +302,7 @@ def iid_stable_qv_experiment(
     medians = [row["median"] for row in per_n]
     if len(ns) >= 3 and all(m > 0.0 for m in medians):
         slope, stderr = loglog_slope(zip(ns, medians))
-    return ExperimentReport(samples=qmat, per_n=per_n, slope=slope, slope_stderr=stderr)
+    return qmat, {"per_n": per_n, "slope": slope, "slope_stderr": stderr}
 
 
 # the square decomposition is checked at j <= 16: further out |Y_j|^2 can be

@@ -247,12 +247,12 @@ def _write_csv(dest, header, rows) -> None:
         )
 
 
-def _emit_samples(cfg: dict, kind: str, report, ns) -> None:
+def _emit_samples(cfg: dict, kind: str, samples: np.ndarray, results: dict, ns) -> None:
     """The JSON report, or the samples as replication, n, value rows, n-major."""
     if cfg["format"] == "json":
-        _emit_json(cfg, kind, report.results_dict())
+        _emit_json(cfg, kind, results)
         return
-    columns = report.samples.T.tolist()
+    columns = samples.T.tolist()
     _write_csv(cfg["out"], ["replication", "n", "value"],
                ([i, n, v] for n, col in zip(ns, columns) for i, v in enumerate(col)))
 
@@ -305,7 +305,7 @@ def _simulate(cfg: dict) -> tuple[int, str]:
 def _lln(cfg: dict) -> tuple[int, str]:
     """median |Q_n/n - U| decay across n with log-log slope"""
     p = ModelParams(alpha=cfg["alpha"], hurst=cfg["hurst"])
-    report = run_lln_experiment(
+    samples, results = run_lln_experiment(
         p,
         half_width=cfg["half_width"],
         n_terms=cfg["n_terms"],
@@ -314,8 +314,8 @@ def _lln(cfg: dict) -> tuple[int, str]:
         seed=cfg["seed"],
         threads=cfg["threads"],
     )
-    _emit_samples(cfg, "lln", report, cfg["n_list"])
-    slope = "undefined" if report.slope is None else f"{report.slope:.4f}"
+    _emit_samples(cfg, "lln", samples, results, cfg["n_list"])
+    slope = "undefined" if results["slope"] is None else f"{results['slope']:.4f}"
     return 0, (f"lln: slope={slope} target={2.0 * p.hurst - 2.0:.4f} "
                f"reps={cfg['replications']}")
 
@@ -326,7 +326,7 @@ def _clt(cfg: dict) -> tuple[int, str]:
     """KS comparison of rescaled errors against limit draws"""
     p = ModelParams(alpha=cfg["alpha"], hurst=cfg["hurst"])
     reps = cfg["replications"]
-    report = run_clt_experiment(
+    samples, results = run_clt_experiment(
         p,
         half_width=cfg["half_width"],
         n_terms=cfg["n_terms"],
@@ -335,29 +335,29 @@ def _clt(cfg: dict) -> tuple[int, str]:
         seed=cfg["seed"],
         threads=cfg["threads"],
     )
-    _emit_samples(cfg, "clt", report, (cfg["n"],))
+    _emit_samples(cfg, "clt", samples, results, (cfg["n"],))
     if cfg["format"] == "csv" and cfg["out"]:
-        draws = report.samples[:, 0]
+        draws = samples[:, 0]
         for suffix, sample in (("_error_ecdf", draws[:reps]), ("_limit_ecdf", draws[reps:])):
             xs = np.sort(sample).tolist()
             _write_csv(_sidecar(cfg["out"], suffix), ["x", "F"],
                        ([x, (i + 1) / len(xs)] for i, x in enumerate(xs)))
-    return 0, f"clt: ks_distance={report.ks_distance:.6f} samples={reps}+{reps}"
+    return 0, f"clt: ks_distance={results['ks_distance']:.6f} samples={reps}+{reps}"
 
 
 @_command("iid", alpha=1.5, n_list=(64, 128, 256, 512, 1024, 2048, 4096), replications=200,
           seed=0, format="json")
 def _iid(cfg: dict) -> tuple[int, str]:
     """contrast run: quadratic variation of iid isotropic stable draws"""
-    report = iid_stable_qv_experiment(
+    samples, results = iid_stable_qv_experiment(
         cfg["alpha"],
         n_list=cfg["n_list"],
         replications=cfg["replications"],
         seed=cfg["seed"],
         threads=cfg["threads"],
     )
-    _emit_samples(cfg, "iid", report, cfg["n_list"])
-    slope = "undefined" if report.slope is None else f"{report.slope:.4f}"
+    _emit_samples(cfg, "iid", samples, results, cfg["n_list"])
+    slope = "undefined" if results["slope"] is None else f"{results['slope']:.4f}"
     return 0, f"iid: slope={slope} target={2.0 / cfg['alpha']:.4f}"
 
 

@@ -43,10 +43,11 @@ CROSS_SEEDS = (42, 43)
 
 
 @pytest.fixture(scope="module")
-def lln_report():
-    """One full-scale decay experiment, shared by the rate and growth gates."""
+def lln_results():
+    """One full-scale decay experiment's results, shared by the rate and
+    growth gates."""
     started = time.monotonic()
-    report = run_lln_experiment(
+    _, results = run_lln_experiment(
         P,
         half_width=50.0,
         n_terms=100000,
@@ -55,7 +56,7 @@ def lln_report():
         seed=LLN_SEED,
         threads=0,
     )
-    return report, time.monotonic() - started
+    return results, time.monotonic() - started
 
 
 def test_exact_identity_suite(criterion_recorder):
@@ -151,14 +152,14 @@ def test_rescaled_kernel_limit(criterion_recorder):
     assert ok, (finals, shrinking, elapsed)
 
 
-def test_lln_rate(criterion_recorder, lln_report):
-    report, elapsed = lln_report
-    slope = report.slope
+def test_lln_rate(criterion_recorder, lln_results):
+    results, elapsed = lln_results
+    slope = results["slope"]
     ok = slope is not None and -0.7 <= slope <= -0.3 and elapsed < 600.0
     criterion_recorder(
         "lln rate: log-log slope of median |Q_n/n - U|",
         ok,
-        f"slope {slope:.4f} (stderr {report.slope_stderr:.4f}) in -0.5 +/- 0.2 "
+        f"slope {slope:.4f} (stderr {results['slope_stderr']:.4f}) in -0.5 +/- 0.2 "
         f"({elapsed:.0f}s < 600s)",
     )
     assert ok, (slope, elapsed)
@@ -166,7 +167,7 @@ def test_lln_rate(criterion_recorder, lln_report):
 
 def test_normalized_error_distribution(criterion_recorder):
     started = time.monotonic()
-    report = run_clt_experiment(
+    _, results = run_clt_experiment(
         P,
         half_width=20.0,
         n_terms=100000,
@@ -176,7 +177,7 @@ def test_normalized_error_distribution(criterion_recorder):
         threads=0,
     )
     elapsed = time.monotonic() - started
-    ks = report.ks_distance
+    ks = results["ks_distance"]
     ok = ks < 0.1 and elapsed < 900.0
     criterion_recorder(
         "limit distribution: KS(normalized errors, realized limit draws)",
@@ -186,18 +187,18 @@ def test_normalized_error_distribution(criterion_recorder):
     assert ok, (ks, elapsed)
 
 
-def test_growth_contrast(criterion_recorder, lln_report):
-    report, _ = lln_report
+def test_growth_contrast(criterion_recorder, lln_results):
+    results, _ = lln_results
     started = time.monotonic()
     slopes = {}
     for alpha in (1.0, 1.5):
-        iid = iid_stable_qv_experiment(
+        _, iid = iid_stable_qv_experiment(
             alpha, (64, 256, 1024, 4096), 200, seed=IID_SEED, threads=0
         )
-        slopes[alpha] = iid.slope
+        slopes[alpha] = iid["slope"]
     elapsed = time.monotonic() - started
 
-    q_slope = report.extras["q_slope"]
+    q_slope = results["q_slope"]
     iid_ok = all(abs(slopes[a] - 2.0 / a) <= 0.2 for a in (1.0, 1.5))
     ok = iid_ok and abs(q_slope - 1.0) <= 0.1 and elapsed < 300.0
     criterion_recorder(

@@ -79,29 +79,30 @@ class TestLoglogSlope:
 
 class TestRunLlnExperiment:
     def test_report_shape_and_decay(self):
-        rep = run_lln_experiment(P, 5.0, 400, (8, 16, 32), 50, seed=9, threads=1)
-        assert [row["n"] for row in rep.per_n] == [8, 16, 32]
-        for row in rep.per_n:
+        samples, results = run_lln_experiment(P, 5.0, 400, (8, 16, 32), 50, seed=9, threads=1)
+        assert [row["n"] for row in results["per_n"]] == [8, 16, 32]
+        for row in results["per_n"]:
             assert 0.0 <= row["q25"] <= row["median"] <= row["q75"]
-        assert rep.samples.shape == (50, 3)
-        assert rep.slope < 0.0 and rep.slope_stderr > 0.0
+        assert samples.shape == (50, 3)
+        assert results["slope"] < 0.0 and results["slope_stderr"] > 0.0
         # the statistic itself grows essentially linearly in n
-        assert rep.extras["q_slope"] == pytest.approx(1.0, abs=0.2)
+        assert results["q_slope"] == pytest.approx(1.0, abs=0.2)
 
     def test_deterministic_across_thread_counts(self):
-        a = run_lln_experiment(P, 5.0, 400, (8, 16, 32), 50, seed=9, threads=1)
-        b = run_lln_experiment(P, 5.0, 400, (8, 16, 32), 50, seed=9, threads=4)
-        np.testing.assert_array_equal(a.samples, b.samples)
-        assert a.slope == b.slope
+        samples_a, results_a = run_lln_experiment(P, 5.0, 400, (8, 16, 32), 50, seed=9, threads=1)
+        samples_b, results_b = run_lln_experiment(P, 5.0, 400, (8, 16, 32), 50, seed=9, threads=4)
+        np.testing.assert_array_equal(samples_a, samples_b)
+        assert results_a["slope"] == results_b["slope"]
 
     def test_single_atom_degeneracy_reports_no_slope(self):
         # one atom makes |Y_j| constant in j, so Q_m/m - U sits at rounding
         # level and no decay rate is measurable; a window of 0.01 keeps
         # n = 32 inside the resolution limit 1 / (2 * 0.01) of a single atom
-        rep = run_lln_experiment(P, 0.01, 1, (8, 16, 32), 50, seed=9, threads=1)
-        assert rep.slope is None and rep.slope_stderr is None
-        q_by_n = {row["n"]: row["q_median"] for row in rep.extras["q_median_per_n"]}
-        for row in rep.per_n:
+        _, results = run_lln_experiment(P, 0.01, 1, (8, 16, 32), 50, seed=9, threads=1)
+        assert results["slope"] is None and results["slope_stderr"] is None
+        assert results["q_slope"] is None and results["q_slope_stderr"] is None
+        q_by_n = {row["n"]: row["q_median"] for row in results["q_median_per_n"]}
+        for row in results["per_n"]:
             assert row["median"] <= 1e-12 * q_by_n[row["n"]] / row["n"]
 
     def test_resolution_guard(self):
@@ -119,30 +120,30 @@ class TestRunLlnExperiment:
 
 class TestRunCltExperiment:
     def test_report_shape(self):
-        rep = run_clt_experiment(P, 5.0, 400, 16, 8, seed=10, threads=1)
-        assert 0.0 <= rep.ks_distance <= 1.0
+        samples, results = run_clt_experiment(P, 5.0, 400, 16, 8, seed=10, threads=1)
+        assert 0.0 <= results["ks_distance"] <= 1.0
         # 8 errors on streams 0..7 over 8 limit draws on streams 8..15
-        assert rep.samples.shape == (16, 1)
+        assert samples.shape == (16, 1)
         # the two samples come from disjoint substreams
-        assert not np.array_equal(rep.samples[:8], rep.samples[8:])
+        assert not np.array_equal(samples[:8], samples[8:])
 
     def test_deterministic(self):
-        a = run_clt_experiment(P, 5.0, 400, 16, 8, seed=10, threads=1)
-        b = run_clt_experiment(P, 5.0, 400, 16, 8, seed=10, threads=3)
-        np.testing.assert_array_equal(a.samples, b.samples)
-        assert a.ks_distance == b.ks_distance
+        samples_a, results_a = run_clt_experiment(P, 5.0, 400, 16, 8, seed=10, threads=1)
+        samples_b, results_b = run_clt_experiment(P, 5.0, 400, 16, 8, seed=10, threads=3)
+        np.testing.assert_array_equal(samples_a, samples_b)
+        assert results_a["ks_distance"] == results_b["ks_distance"]
 
     def test_default_nodes_follow_window(self):
         # ceil(5) + 16 = 21 Gauss-Legendre nodes at half-width 5; the limit
         # draws sit on streams 4..7, after the 4 error draws
-        rep = run_clt_experiment(P, 5.0, 400, 16, 4, seed=10, threads=1)
+        samples, _ = run_clt_experiment(P, 5.0, 400, 16, 4, seed=10, threads=1)
         expected = [
             rosenblatt_fast(
                 build_jump_measure(P.alpha, 5.0, 400, RngStream(10, 4 + i)), P, t_nodes=21
             )
             for i in range(4)
         ]
-        assert rep.samples[4:, 0].tolist() == expected
+        assert samples[4:, 0].tolist() == expected
 
     @pytest.mark.parametrize("alpha,hurst", [(1.8, 0.55), (1.2, 0.4)])
     def test_rejects_parameters_outside_limit_regime(self, alpha, hurst):
@@ -158,13 +159,13 @@ class TestRunCltExperiment:
 
 class TestIidStableQvExperiment:
     def test_superlinear_growth_rate(self):
-        rep = iid_stable_qv_experiment(1.5, (64, 256, 1024), 100, seed=7, threads=1)
-        assert rep.slope == pytest.approx(2.0 / 1.5, abs=0.25)
-        assert rep.samples.shape == (100, 3)
+        samples, results = iid_stable_qv_experiment(1.5, (64, 256, 1024), 100, seed=7, threads=1)
+        assert results["slope"] == pytest.approx(2.0 / 1.5, abs=0.25)
+        assert samples.shape == (100, 3)
 
     def test_gaussian_case_grows_linearly(self):
-        rep = iid_stable_qv_experiment(2.0, (64, 256, 1024), 100, seed=8, threads=1)
-        assert rep.slope == pytest.approx(1.0, abs=0.1)
+        _, results = iid_stable_qv_experiment(2.0, (64, 256, 1024), 100, seed=8, threads=1)
+        assert results["slope"] == pytest.approx(1.0, abs=0.1)
 
     def test_rejects_small_replication_count(self):
         with pytest.raises(ParameterError):
@@ -458,14 +459,14 @@ class TestThreadCountInvariance:
     split across threads."""
 
     def test_lln(self):
-        a = run_lln_experiment(P, 5.0, 20000, (64, 128, 256), 50, seed=21, threads=1)
-        b = run_lln_experiment(P, 5.0, 20000, (64, 128, 256), 50, seed=21, threads=2)
-        np.testing.assert_array_equal(a.samples, b.samples)
+        a, _ = run_lln_experiment(P, 5.0, 20000, (64, 128, 256), 50, seed=21, threads=1)
+        b, _ = run_lln_experiment(P, 5.0, 20000, (64, 128, 256), 50, seed=21, threads=2)
+        np.testing.assert_array_equal(a, b)
 
     def test_clt(self):
-        a = run_clt_experiment(P, 5.0, 20000, 256, 4, seed=22, threads=1)
-        b = run_clt_experiment(P, 5.0, 20000, 256, 4, seed=22, threads=2)
-        np.testing.assert_array_equal(a.samples, b.samples)
+        a, _ = run_clt_experiment(P, 5.0, 20000, 256, 4, seed=22, threads=1)
+        b, _ = run_clt_experiment(P, 5.0, 20000, 256, 4, seed=22, threads=2)
+        np.testing.assert_array_equal(a, b)
 
     def test_identity_suite(self):
         a = identity_suite(4, seed=23, n_terms=300, threads=1)

@@ -405,8 +405,9 @@ class TestSimulateCommand:
         assert results["q_partial"] == [[8, pytest.approx(results["q_partial"][0][1])]]
         assert len(results["increments"]) == 8
 
-    def test_json_with_overflowing_limit_draw_returns_2(self, capsys, monkeypatch):
-        # |a_i|^2 of these atoms overflows; the limit draw used to be NaN
+    def test_json_with_overflowing_realized_limit_returns_2(self, capsys, monkeypatch):
+        # |r(s_i) v_i|^2 of these atoms overflows, so the increment pass
+        # stops at its check of U before any limit draw is taken
         jm = JumpMeasure(np.array([-1.0, 0.5]), np.array([1e200 + 0j, 1e200 + 0j]), 2.0, 1.0)
         monkeypatch.setattr(cli, "build_jump_measure", lambda *args: jm)
         rc, out, err = run_main(
@@ -414,7 +415,19 @@ class TestSimulateCommand:
                      "--format", "json"]
         )
         assert rc == 2 and out == ""
-        assert err.startswith("error:") and "non-finite" in err
+        assert err.startswith("error:") and "realized limit U is non-finite" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_json_with_overflowing_limit_draw_returns_2(self, capsys, monkeypatch):
+        # atoms next to the zeros of r at s = +-2 pi: |r(s_i)| ~ 1.3e-17
+        # keeps U ~ 3.6e286 and Q_1 ~ 7.1e286 finite, while the limit draw's
+        # |a_i|^2 = (|s_i|^gamma |v_i|)^2 overflows
+        jm = JumpMeasure(np.array([-2 * np.pi, 2 * np.pi]), np.array([1e160 + 0j, 1e160 + 0j]),
+                         7.0, 1.0)
+        monkeypatch.setattr(cli, "build_jump_measure", lambda *args: jm)
+        rc, out, err = run_main(capsys, ["simulate", "--n", "1", "--format", "json"])
+        assert rc == 2 and out == ""
+        assert err.startswith("error:") and "limit draw is non-finite" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
     # 40^(1/0.005) overflows; at alpha 0.01 the calibration is finite but
@@ -492,19 +505,21 @@ class TestExperimentCommands:
 
 CLT_ARGS = ["clt", "--half-width", "5", "--n-terms", "400", "--n", "16", "--reps", "8",
             "--seed", "10"]
+IID_ARGS = ["iid", "--alpha", "1.5", "--n-list", "64,128,256", "--reps", "100", "--seed", "7"]
 
 
-def clt_report():
-    """The runner's report for CLT_ARGS."""
-    return run_clt_experiment(ModelParams(1.2, 0.75), 5.0, 400, 16, 8, 10)
+def clt_samples():
+    """The runner's samples for CLT_ARGS."""
+    samples, _ = run_clt_experiment(ModelParams(1.2, 0.75), 5.0, 400, 16, 8, 10)
+    return samples
 
-# each sample-CSV command, its runner called with the same values, and its ns
+# each sample-CSV command, its runner's samples for the same values, and its ns
 SAMPLE_RUNS = [
-    (LLN_ARGS, lambda: run_lln_experiment(ModelParams(1.2, 0.75), 5.0, 400, (8, 16, 32), 50, 9),
+    (LLN_ARGS,
+     lambda: run_lln_experiment(ModelParams(1.2, 0.75), 5.0, 400, (8, 16, 32), 50, 9)[0],
      (8, 16, 32)),
-    (["iid", "--alpha", "1.5", "--n-list", "64,128,256", "--reps", "100", "--seed", "7"],
-     lambda: iid_stable_qv_experiment(1.5, (64, 128, 256), 100, 7), (64, 128, 256)),
-    (CLT_ARGS, clt_report, (16,)),
+    (IID_ARGS, lambda: iid_stable_qv_experiment(1.5, (64, 128, 256), 100, 7)[0], (64, 128, 256)),
+    (CLT_ARGS, clt_samples, (16,)),
 ]
 
 
@@ -515,7 +530,7 @@ class TestSampleCsv:
         # column holds its 8 errors, then its 8 limit draws, as 0..15
         rc, out, _ = run_main(capsys, argv + ["--format", "csv"])
         assert rc == 0
-        samples = run().samples
+        samples = run()
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["replication", "n", "value"]
         assert [(int(r), int(n)) for r, n, _ in rows[1:]] == [
@@ -532,7 +547,7 @@ class TestSampleCsv:
         (tmp_path / "runs.v1").mkdir()
         rc, _, err = run_main(capsys, CLT_ARGS + ["--format", "csv", "--out", out])
         assert rc == 0, err
-        draws = clt_report().samples[:, 0]
+        draws = clt_samples()[:, 0]
         root = out.removesuffix(".csv")
         for suffix, sample in (("_error_ecdf", draws[:8]), ("_limit_ecdf", draws[8:])):
             rows = list(csv.reader(io.StringIO(Path(f"{root}{suffix}.csv").read_text())))
@@ -540,6 +555,19 @@ class TestSampleCsv:
             x = np.array([float(r[0]) for r in rows[1:]])
             np.testing.assert_array_equal(bits(x), bits(np.sort(sample)))
             assert [float(r[1]) for r in rows[1:]] == [(i + 1) / 8 for i in range(8)]
+
+
+class TestResultsBlock:
+    @pytest.mark.parametrize("argv, keys", [
+        (LLN_ARGS, {"per_n", "slope", "slope_stderr", "q_median_per_n", "q_slope",
+                    "q_slope_stderr"}),
+        (CLT_ARGS, {"ks_distance"}),
+        (IID_ARGS, {"per_n", "slope", "slope_stderr"}),
+    ], ids=["lln", "clt", "iid"])
+    def test_json_results_hold_exactly_the_runners_keys(self, capsys, argv, keys):
+        rc, out, _ = run_main(capsys, argv)
+        assert rc == 0
+        assert set(json.loads(out)["results"]) == keys
 
 
 class TestWriteCsv:
