@@ -19,7 +19,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import ConfigError, ParameterError, QuadratureError
+from .errors import ConfigError, ParameterError, QuadratureError, SingularityError
 from .harmonizable import (
     normalized_error,
     quadratic_statistic,
@@ -293,7 +293,11 @@ def iid_stable_qv_experiment(
     def one(i: int) -> np.ndarray:
         rng = RngStream(master_seed=seed, stream_index=i)
         z = sample_isotropic_stable(alpha, 1.0, rng, size=n_max)
-        csum = np.cumsum(z.real**2 + z.imag**2)
+        with np.errstate(over="ignore"):
+            csum = np.cumsum(z.real**2 + z.imag**2)
+        # the running sums increase, so the last one is the largest
+        if not np.isfinite(csum[-1]):
+            raise SingularityError(f"replication {i}: Q_n of the iid draws is non-finite")
         return csum[np.array(ns) - 1]
 
     qmat = np.vstack(_parallel_map(one, replications, threads))
@@ -366,7 +370,7 @@ def identity_suite(
         head = y[: _SQUARE_J_MAX + 1]
         lhs = head.real**2 + head.imag**2
         pair = np.r_[pair_direct, pair_j[1 : head.size]]
-        rhs = 2.0 * pair.real + integrate_qv(jm_a, lambda x: 1.0)
+        rhs = 2.0 * pair.real + integrate_qv(jm_a)
         rels = np.abs(lhs - rhs) / np.maximum(np.maximum(lhs, np.abs(rhs)), 1.0)
         # checked before Q_m, which raises on its own if an increment is not finite
         if not np.all(np.isfinite(rels)):
@@ -440,12 +444,18 @@ def kernel_limit_check(s: float, u: float, p: ModelParams, n_list) -> np.ndarray
             f"s-u={gap} lies on the 2*pi lattice where the limit fails"
         )
     ns = _check_n_list(n_list)
-    target = complex(kernel_h(s, u, p))
-    devs = []
-    for n in ns:
-        scaled = complex(kernel_hn(s / n, u / n, n, p)) * float(n) ** (-2.0 / p.alpha)
-        devs.append(abs(scaled - target))
-    return np.array(devs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        target = complex(kernel_h(s, u, p))
+        devs = np.array([
+            abs(complex(kernel_hn(s / n, u / n, n, p)) * float(n) ** (-2.0 / p.alpha) - target)
+            for n in ns
+        ])
+    if not np.all(np.isfinite([target, *devs])):
+        raise SingularityError(
+            f"kernel limit at (s, u) = ({s}, {u}) is non-finite at alpha={p.alpha}, "
+            f"hurst={p.hurst}"
+        )
+    return devs
 
 
 # outer cells per block of envelope_quadrature's far part: a block's

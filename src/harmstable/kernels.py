@@ -26,9 +26,7 @@ __all__ = [
     "kernel_gn",
     "kernel_hn",
     "kernel_h",
-    "phi_qv",
     "psi",
-    "psi_norm_constant",
     "nearest_2pi",
 ]
 
@@ -165,40 +163,18 @@ def kernel_h(s, u, p: ModelParams):
     return _below_diagonal(s, u, pair)
 
 
-def phi_qv(s, p: ModelParams):
-    """Quadratic-variation integrand |s|^{-2H-2/alpha} (1 - cos s).
-
-    Evaluated as 2 sin^2(s/2) |s|^{-2H-2/alpha}; s = 0 always raises.
-    """
-    arr = np.asarray(s, dtype=float)
-    if np.any(np.abs(arr) < ZERO_FLOOR):
-        raise SingularityError("phi_qv is singular at s = 0")
-    expo = -2.0 * p.hurst - 2.0 / p.alpha
-    out = 2.0 * np.sin(0.5 * arr) ** 2 * np.abs(arr) ** expo
-    return out[()]
-
-
-def psi_norm_constant(r_exp: float, alpha: float) -> float:
-    """Normalizing constant making the integral of psi^alpha equal 1."""
-    if alpha <= 0.0:
+def psi(s, alpha: float):
+    """Reference envelope: constant on |s| <= 1, |s|^{-2/alpha} decay outside,
+    at the constant c = 4^{-1/alpha}: the plateau and the tail each hold half
+    of the integral of psi^alpha = 4 c^alpha = 1 over the line."""
+    if not alpha > 0.0:  # written so that a NaN alpha fails too
         raise ParameterError(f"alpha must be positive, got {alpha}")
-    if r_exp * alpha <= 1.0:
-        raise ParameterError(
-            f"need r_exp * alpha > 1 for integrability, got {r_exp * alpha}"
-        )
-    return (2.0 * (1.0 + 1.0 / (r_exp * alpha - 1.0))) ** (-1.0 / alpha)
-
-
-def psi(s, r_exp: float, alpha: float):
-    """Reference envelope: constant on |s| <= 1, |s|^{-r_exp} decay outside,
-    normalized so that psi^alpha integrates to 1 over the line."""
-    c = psi_norm_constant(r_exp, alpha)
     arr = np.asarray(s, dtype=float)
     a = np.abs(arr)
     out = np.ones(a.shape)
     tail = a > 1.0
-    out[tail] = a[tail] ** (-r_exp)
-    out *= c
+    out[tail] = a[tail] ** (-2.0 / alpha)
+    out *= 4.0 ** (-1.0 / alpha)
     return out[()]
 
 

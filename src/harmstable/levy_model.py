@@ -224,27 +224,17 @@ def _kernel_values(f, what: str, *where: np.ndarray) -> np.ndarray:
     bad = ~np.isfinite(vals)
     if np.any(bad):
         idx = int(np.argmax(bad))
-        at = ", ".join(repr(w.flat[idx]) for w in where)
+        at = ", ".join(repr(float(w.flat[idx])) for w in where)
         raise SingularityError(f"{what} is non-finite at ({at})")
     return vals
 
 
-def integrate_qv(jm: JumpMeasure, phi) -> float:
-    """Integral of phi against the pathwise quadratic variation measure:
-    sum_i phi(s_i) * |value_i|^2. phi must return one value per atom, or a
-    scalar. A non-finite result, as from |value_i|^2 overflowing, raises
+def integrate_qv(jm: JumpMeasure) -> float:
+    """Total mass of the pathwise quadratic variation measure, sum_i |value_i|^2.
+    A non-finite result, as from |value_i|^2 overflowing, raises
     SingularityError."""
-    if jm.n_terms == 0:
-        return 0.0
-    vals = np.asarray(_kernel_values(phi, "quadratic-variation integrand", jm.locations), float)
-    if np.any(vals < 0.0):
-        idx = int(np.argmax(vals < 0.0))
-        raise ParameterError(
-            f"quadratic-variation integrand is negative at location "
-            f"{jm.locations[idx]!r}"
-        )
     with np.errstate(over="ignore", invalid="ignore"):
-        total = float(np.sum(vals * (jm.values.real**2 + jm.values.imag**2)))
+        total = float(np.sum(jm.values.real**2 + jm.values.imag**2))
     if not math.isfinite(total):
         raise SingularityError("quadratic-variation integral is non-finite: |value_i|^2 overflows")
     return total
@@ -285,8 +275,8 @@ def condition_value(f, alpha: float, lam_list, quad: QuadratureSpec | None = Non
     """Existence functional of an arity-2 kernel over growing windows
     [-L, L]^2, one value per L in lam_list:
     the grid estimate of  integral of |f|^alpha * (1 + log_+(|f| / (psi(s) psi(u)))),
-    with the reference envelope psi = kernels.psi(., 2/alpha, alpha), whose
-    alpha-th power integrates to 1 over the line.
+    with the reference envelope kernels.psi, whose alpha-th power integrates
+    to 1 over the line.
 
     The integrand is evaluated once, on the grid of the largest window (quad,
     default QuadratureSpec(), with its outer cutoff replaced), and each
@@ -301,7 +291,7 @@ def condition_value(f, alpha: float, lam_list, quad: QuadratureSpec | None = Non
 
     def integrand(s, u):
         fv = np.abs(np.asarray(f(s, u)))
-        env = psi(s, 2.0 / alpha, alpha) * psi(u, 2.0 / alpha, alpha)
+        env = psi(s, alpha) * psi(u, alpha)
         out = np.zeros(np.broadcast(s, u).shape)
         pos = fv > 0.0
         ratio = np.divide(fv, env, out=np.ones_like(out), where=pos)

@@ -120,7 +120,7 @@ def grid_integral_2d(func, quad: QuadratureSpec, windows, label: str = "integran
             bi, bj = np.argwhere(~np.isfinite(np.asarray(vals)))[0]
             raise QuadratureError(
                 f"{label} is non-finite at cell midpoint "
-                f"({mid[i0 + bi]!r}, {mid[bj]!r})"
+                f"({float(mid[i0 + bi])!r}, {float(mid[bj])!r})"
             )
         for k, (a, b) in enumerate(runs):
             r0, r1 = max(i0, a), min(i1, b)

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, SingularityError
 
 __all__ = [
     "RngStream",
@@ -79,31 +79,29 @@ def _positive_stable(rho: float, g: np.random.Generator, shape) -> np.ndarray:
     return np.exp(log_x)
 
 
-def sample_isotropic_stable(alpha: float, scale: float, rng: RngStream, size=None):
-    """Rotation-invariant complex alpha-stable draws.
+def sample_isotropic_stable(alpha: float, scale: float, rng: RngStream, size: int) -> np.ndarray:
+    """One array of size rotation-invariant complex alpha-stable draws.
 
     Construction: a common one-sided (alpha/2)-stable amplitude multiplying a
     standard complex Gaussian.  The real part then follows the scalar
     symmetric alpha-stable law at the same scale parameter, which the tests
     check against a Chambers-Mallows-Stuck sampler (sample_sas in
-    tests/oracles.py).
+    tests/oracles.py).  A draw that is not finite, as when the amplitude
+    overflows for alpha near 0, raises SingularityError.
     """
     _check_stable_args(alpha, scale)
     g = rng.generator
-    if size is None:
-        shape: tuple = ()
-    elif isinstance(size, tuple):
-        shape = size
-    else:
-        shape = (int(size),)
-    gauss = g.normal(0.0, 1.0, shape + (2,))
-    z = gauss[..., 0] + 1j * gauss[..., 1]
-    if alpha == 2.0:
-        out = np.sqrt(2.0) * scale * z
-    else:
-        amp = _positive_stable(0.5 * alpha, g, z.shape)
-        out = np.sqrt(2.0) * scale * np.sqrt(amp) * z
-    return complex(out) if size is None else out
+    gauss = g.normal(0.0, 1.0, (size, 2))
+    z = gauss[:, 0] + 1j * gauss[:, 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if alpha == 2.0:
+            out = np.sqrt(2.0) * scale * z
+        else:
+            amp = _positive_stable(0.5 * alpha, g, z.shape)
+            out = np.sqrt(2.0) * scale * np.sqrt(amp) * z
+    if not np.all(np.isfinite(out)):
+        raise SingularityError(f"isotropic stable draw is non-finite at alpha={alpha}")
+    return out
 
 
 def poisson_arrivals(count: int, rng: RngStream) -> np.ndarray:

@@ -9,7 +9,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from harmstable import ParameterError, QuadratureSpec, RngStream
+from harmstable import ModelParams, ParameterError, QuadratureSpec, RngStream, SingularityError
+from harmstable.kernels import ZERO_FLOOR
 from harmstable.quadrature import axis_cells
 from harmstable.rng_stable import _check_stable_args, _positive_exponential
 
@@ -21,6 +22,20 @@ def gn_bound(x, n: int):
     denom = 2.0 * np.abs(np.sin(0.5 * np.asarray(x, dtype=float)))
     with np.errstate(divide="ignore"):
         return np.minimum(float(n), 2.0 / denom)
+
+
+def phi_qv(s, p: ModelParams):
+    """Quadratic-variation integrand |s|^{-2H-2/alpha} (1 - cos s), the
+    spectral-density route to |kernel_r|^2 / 2.
+
+    Evaluated as 2 sin^2(s/2) |s|^{-2H-2/alpha}; s = 0 always raises.
+    """
+    arr = np.asarray(s, dtype=float)
+    if np.any(np.abs(arr) < ZERO_FLOOR):
+        raise SingularityError("phi_qv is singular at s = 0")
+    expo = -2.0 * p.hurst - 2.0 / p.alpha
+    out = 2.0 * np.sin(0.5 * arr) ** 2 * np.abs(arr) ** expo
+    return out[()]
 
 
 def sample_sas(alpha: float, scale: float, rng: RngStream, size=None):

@@ -25,14 +25,13 @@ from harmstable import (
     kernel_limit_check,
     kernel_r,
     ks_two_sample,
-    phi_qv,
     run_clt_experiment,
     run_lln_experiment,
     sample_isotropic_stable,
     simulate_increments,
 )
 from harmstable.cli import main
-from oracles import gn_bound
+from oracles import gn_bound, phi_qv
 
 P = ModelParams(alpha=1.2, hurst=0.75)
 

@@ -18,6 +18,7 @@ from harmstable import (
     QuadratureError,
     QuadratureSpec,
     RngStream,
+    SingularityError,
     build_jump_measure,
     envelope_quadrature,
     identity_suite,
@@ -170,6 +171,13 @@ class TestIidStableQvExperiment:
     def test_rejects_small_replication_count(self):
         with pytest.raises(ParameterError):
             iid_stable_qv_experiment(1.5, (64, 256, 1024), 99, seed=7)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_qv_raises(self):
+        # replication 87's draws at alpha 0.032 are finite, the largest
+        # 2.9e154, but its square overflows
+        with pytest.raises(SingularityError, match="replication 87: Q_n"):
+            iid_stable_qv_experiment(0.032, (1, 2, 200), 100, seed=0, threads=1)
 
 
 class TestIdentitySuite:
@@ -362,6 +370,14 @@ class TestKernelLimitCheck:
             kernel_limit_check(s + 5e-10, 0.5, P, (64,))
         # a gap of pi is fine
         kernel_limit_check(0.5 + math.pi, 0.5, P, (64,))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("s,u", [(1.0, -0.5), (1e-3, -1e-2)])
+    def test_nonfinite_limit_raises(self, s, u):
+        # gamma = -99.99: |s u|^gamma overflows at the pre-limit kernel's
+        # scaled points for the first pair and already at the limit for the second
+        with pytest.raises(SingularityError, match="non-finite"):
+            kernel_limit_check(s, u, ModelParams(0.01, 0.99), (64, 256))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -363,6 +363,20 @@ class TestMainExitCodes:
         )
         assert rc == 1 and err.startswith("error:")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv,what", [
+        (["iid", "--alpha", "0.001", "--reps", "100", "--n-list", "1,2,3"],
+         "isotropic stable draw is non-finite"),
+        (["kernel-limit", "--alpha", "0.01", "--hurst", "0.99"], "kernel limit at"),
+    ])
+    def test_nonfinite_output_returns_2(self, capsys, argv, what):
+        # at these alphas a stable draw or n^(-2/alpha) |s u|^gamma leaves
+        # the double range; the command stops instead of writing NaN or Infinity
+        rc, out, err = run_main(capsys, argv)
+        assert rc == 2 and out == ""
+        assert err.startswith("error:") and what in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

@@ -21,7 +21,6 @@ from harmstable import (
     kernel_hn,
     kernel_r,
     normalized_error,
-    phi_qv,
     quadratic_statistic,
     realized_U,
     rosenblatt_fast,
@@ -29,7 +28,7 @@ from harmstable import (
     t_nodes_for,
 )
 from harmstable.harmonizable import _CELL, _ORDERS
-from oracles import dense_increments, dense_limit, traced_peak_mib
+from oracles import dense_increments, dense_limit, phi_qv, traced_peak_mib
 
 P = ModelParams(alpha=1.2, hurst=0.75)
 

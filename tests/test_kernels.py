@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from harmstable import (
     ModelParams,
@@ -20,11 +21,9 @@ from harmstable import (
     kernel_hn,
     kernel_r,
     nearest_2pi,
-    phi_qv,
     psi,
-    psi_norm_constant,
 )
-from oracles import gn_bound
+from oracles import gn_bound, phi_qv
 
 P = ModelParams(alpha=1.2, hurst=0.75)
 
@@ -68,15 +67,15 @@ MAGNITUDES = st.one_of(
 )
 
 
-# every kernel of the module at one scalar point, below the diagonal for the
-# pair kernels
+# every kernel of the module, and the phi_qv oracle, at one scalar point,
+# below the diagonal for the pair kernels
 SCALAR_CALLS = {
     "kernel_r": lambda: kernel_r(1.0, P),
     "kernel_gn": lambda: kernel_gn(1.0, 8),
     "kernel_hn": lambda: kernel_hn(1.0, 0.5, 8, P),
     "kernel_h": lambda: kernel_h(1.0, 0.5, P),
     "phi_qv": lambda: phi_qv(1.0, P),
-    "psi": lambda: psi(2.0, 2.0, 1.2),
+    "psi": lambda: psi(2.0, 1.2),
     "nearest_2pi": lambda: nearest_2pi(7.0),
 }
 
@@ -296,21 +295,30 @@ class TestDoubleKernels:
 
 class TestPsi:
     def test_normalization_constant(self):
-        # alpha * integral of psi^alpha = closed-form plateau plus tail mass
-        r_exp, alpha = 2.0, 1.2
-        c = psi_norm_constant(r_exp, alpha)
-        mass = 2.0 * c**alpha * (1.0 + 1.0 / (r_exp * alpha - 1.0))
-        assert mass == pytest.approx(1.0, rel=1e-12)
+        # plateau 2 c^alpha plus tail 2 c^alpha integral_1^inf s^-2 ds: 4 c^alpha
+        for alpha in (0.3, 1.2, 1.999):
+            c = psi(0.5, alpha)
+            assert 4.0 * c**alpha == pytest.approx(1.0, rel=1e-13)
+            tail, _ = integrate.quad(lambda s: psi(s, alpha) ** alpha, 1.0, np.inf)
+            assert 2.0 * tail == pytest.approx(0.5, rel=1e-8)
+
+    def test_constant_is_the_general_normalizer_at_two_over_alpha(self):
+        # the normalizer 2 (1 + 1/(r alpha - 1)) of a |s|^-r tail at r = 2/alpha,
+        # to the bit, so check-condition reads the same envelope either way
+        for alpha in map(float, np.linspace(0.01, 1.999, 2000)):
+            general = (2.0 * (1.0 + 1.0 / ((2.0 / alpha) * alpha - 1.0))) ** (-1.0 / alpha)
+            assert psi(0.0, alpha) == general
 
     def test_shape(self):
-        c = psi_norm_constant(2.0, 1.2)
-        assert psi(0.5, 2.0, 1.2) == pytest.approx(c)
-        assert psi(-0.3, 2.0, 1.2) == pytest.approx(c)
-        assert psi(4.0, 2.0, 1.2) == pytest.approx(c * 4.0**-2.0)
+        c = 4.0 ** (-1.0 / 1.2)
+        assert psi(0.5, 1.2) == pytest.approx(c)
+        assert psi(-0.3, 1.2) == pytest.approx(c)
+        assert psi(4.0, 1.2) == pytest.approx(c * 4.0 ** (-2.0 / 1.2))
 
-    def test_rejects_nonintegrable(self):
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan")])
+    def test_rejects_bad_alpha(self, alpha):
         with pytest.raises(ParameterError):
-            psi_norm_constant(0.5, 1.2)
+            psi(2.0, alpha)
 
 
 class TestNearest2pi:

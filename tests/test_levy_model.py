@@ -230,13 +230,8 @@ class TestSeriesUnitScale:
 
 
 class TestPathwiseIntegrals:
-    def test_integrate_qv_hand_value(self):
-        got = integrate_qv(three_atoms(), lambda s: s * s)
-        assert got == pytest.approx(5.3125, rel=1e-15)
-
     def test_quadratic_variation_hand_value(self):
-        got = integrate_qv(three_atoms(), lambda s: np.ones_like(s))
-        assert got == pytest.approx(5.3125, rel=1e-15)
+        assert integrate_qv(three_atoms()) == pytest.approx(5.3125, rel=1e-15)
 
     def test_double_integrate_hand_value(self):
         got = double_integrate(three_atoms(), lambda s, u: s + 1j * u)
@@ -276,29 +271,17 @@ class TestPathwiseIntegrals:
         got = double_integrate(jm, lambda s, u: 2.0)
         assert got == pytest.approx(want, rel=1e-15)
 
-    def test_single_integrals_reject_misshapen_kernel(self):
-        # an (n, 1) column would broadcast against the atoms into an n x n sum
-        with pytest.raises(ParameterError, match="shape"):
-            integrate_qv(three_atoms(), lambda s: (s * s)[:, None])
-        with pytest.raises(ParameterError, match="shape"):
-            integrate_qv(three_atoms(), lambda s: np.ones((1, 3)))
-
-    def test_single_integrals_broadcast_scalar_kernel(self):
-        assert integrate_qv(three_atoms(), lambda s: 2.0) == pytest.approx(10.625, rel=1e-15)
-
     def test_empty_and_single_atom(self):
         empty = JumpMeasure(np.array([]), np.array([], complex), 1.0, 1.0)
         single = JumpMeasure(np.array([0.3]), np.array([2.0 + 0j]), 1.0, 1.0)
-        assert integrate_qv(empty, lambda s: s) == 0.0
-        assert integrate_qv(empty, lambda s: np.ones_like(s)) == 0.0
+        assert integrate_qv(empty) == 0.0
         assert double_integrate(empty, lambda s, u: s) == 0j
         assert double_integrate(single, lambda s, u: s) == 0j
-        assert integrate_qv(single, lambda s: np.ones_like(s)) == pytest.approx(4.0)
+        assert integrate_qv(single) == pytest.approx(4.0)
 
     def test_nonfinite_kernel_reports_location(self):
-        with pytest.raises(SingularityError, match="0.5"):
-            integrate_qv(three_atoms(), lambda s: np.where(s == 0.5, np.nan, 1.0))
-        with pytest.raises(SingularityError):
+        # the pair (2.0, -1.0) is the first that the kernel makes infinite
+        with pytest.raises(SingularityError, match=r"at \(2\.0, -1\.0\)"):
             double_integrate(
                 three_atoms(), lambda s, u: np.where(s > 1.0, np.inf, 1.0)
             )
@@ -311,18 +294,14 @@ class TestPathwiseIntegrals:
         f = lambda x, y: np.where((x == s[200]) & (y == s[5]), np.inf, 1.0)
         with pytest.raises(SingularityError) as err:
             double_integrate(jm, f)
-        assert f"({s[200]!r}, {s[5]!r})" in str(err.value)
-
-    def test_negative_qv_integrand_rejected(self):
-        with pytest.raises(ParameterError):
-            integrate_qv(three_atoms(), lambda s: s)
+        assert f"({float(s[200])!r}, {float(s[5])!r})" in str(err.value)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_qv_raises(self):
         # |v_i|^2 of these atoms overflows
         jm = JumpMeasure(np.array([-1.0, 0.5]), np.array([1e200 + 0j, 1e200 + 0j]), 2.0, 1.0)
         with pytest.raises(SingularityError, match="non-finite"):
-            integrate_qv(jm, lambda s: 1.0)
+            integrate_qv(jm)
 
 
 class TestPairBlocks:
@@ -357,11 +336,11 @@ class TestPairBlocks:
 
 class TestConditionValue:
     def test_separable_reference_integrates_to_one(self):
-        # f is the envelope product psi(s) psi(u), psi = psi(., 2/alpha, alpha):
+        # f is the envelope product psi(s) psi(u):
         # |f|^alpha integrates to 1 and the log factor vanishes, so the
         # full-plane value is exactly 1; the grid sees almost all of it
         alpha = 1.2
-        f = lambda s, u: psi(s, 2.0 / alpha, alpha) * psi(u, 2.0 / alpha, alpha)
+        f = lambda s, u: psi(s, alpha) * psi(u, alpha)
         (got,) = condition_value(f, alpha, (200.0,), QuadratureSpec(cells_per_decade=16))
         assert got == pytest.approx(1.0, rel=2e-2)
         assert got < 1.0

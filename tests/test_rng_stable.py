@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from harmstable import (
     ParameterError,
     RngStream,
+    SingularityError,
     poisson_arrivals,
     sample_isotropic_stable,
 )
@@ -77,9 +80,7 @@ class TestSampleSas:
 
 
 class TestSampleIsotropicStable:
-    def test_scalar_and_array_shapes(self):
-        z = sample_isotropic_stable(1.2, 1.0, RngStream(3, 0))
-        assert isinstance(z, complex)
+    def test_array_shape(self):
         arr = sample_isotropic_stable(1.2, 1.0, RngStream(3, 1), size=8)
         assert arr.shape == (8,) and arr.dtype == complex
 
@@ -104,6 +105,19 @@ class TestSampleIsotropicStable:
         assert res.pvalue > 0.01
         res = stats.kstest(z.imag, stats.norm(scale=0.5 * np.sqrt(2.0)).cdf)
         assert res.pvalue > 0.01
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=60)
+    @given(alpha=st.floats(0.001, 2.0), stream=st.integers(0, 2**16))
+    @example(alpha=0.001, stream=0)  # the amplitude overflows
+    @example(alpha=2.0, stream=0)
+    def test_draws_are_finite_or_raise(self, alpha, stream):
+        try:
+            z = sample_isotropic_stable(alpha, 1.0, RngStream(71, stream), size=200)
+        except SingularityError as exc:
+            assert "non-finite" in str(exc)
+        else:
+            assert np.all(np.isfinite(z))
 
     def test_heavy_tail_exponent(self):
         # P(|Z| > x) ~ C x^{-alpha}: the log survival curve of the top decile
