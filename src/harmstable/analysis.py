@@ -408,6 +408,11 @@ def identity_suite(
     }
 
 
+# complex values per block of _pair_table_sums' power rows; its two block
+# buffers hold at most 2 x 2^15 x 16 bytes = 1 MiB whatever the atom count
+_PAIR_BLOCK = 2**15
+
+
 def _pair_table_sums(s: np.ndarray, a: np.ndarray, n_increments: int) -> np.ndarray:
     """Sums over the atom pairs k < i of x_i conj(x_k), x = a exp(i j s), at
     each j < n_increments. Their total is the pair sum of
@@ -415,16 +420,25 @@ def _pair_table_sums(s: np.ndarray, a: np.ndarray, n_increments: int) -> np.ndar
     E = exp(i (s_i - s_k)).
 
     The sum at j is sum(x[1:] * conj(cumsum(x[:-1]))), the same pairs in
-    location order, in O(atoms); x is rotated from the previous j by
-    exp(i s). The call holds four atom-sized rows whatever n_increments."""
+    location order, in O(atoms). The rows x of a block of consecutive j,
+    _PAIR_BLOCK // atoms of them and at least one, each come from the
+    previous by one multiplication by exp(i s); the block then takes one
+    cumsum along the atoms and one row-wise sum."""
     per_j = np.empty(n_increments, dtype=complex)
     rot = np.exp(1j * s)
-    x = np.array(a, dtype=complex)
-    prefix, prod = np.empty((2, max(s.size - 1, 0)), dtype=complex)
-    for j in range(n_increments):
-        np.conjugate(np.cumsum(x[:-1], out=prefix), out=prefix)
-        per_j[j] = np.multiply(x[1:], prefix, out=prod).sum()
-        x *= rot
+    rows = max(1, min(n_increments, _PAIR_BLOCK // max(s.size, 1)))
+    x = np.empty((rows, s.size), dtype=complex)
+    prefix = np.empty((rows, max(s.size - 1, 0)), dtype=complex)
+    x[0] = a
+    for j0 in range(0, n_increments, rows):
+        b = min(rows, n_increments - j0)
+        if j0:
+            np.multiply(x[-1], rot, out=x[0])
+        for r in range(1, b):
+            np.multiply(x[r - 1], rot, out=x[r])
+        pre = prefix[:b]
+        np.conjugate(np.cumsum(x[:b, :-1], axis=1, out=pre), out=pre)
+        per_j[j0 : j0 + b] = np.multiply(x[:b, 1:], pre, out=pre).sum(axis=1)
     return per_j
 
 

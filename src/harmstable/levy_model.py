@@ -214,17 +214,20 @@ def build_jump_measure(
 
 
 def _kernel_values(f, what: str, *where: np.ndarray) -> np.ndarray:
-    """f(*where), checked to be a scalar or one value per point, and finite;
-    a non-finite value raises naming its coordinates."""
+    """f(*where), checked to broadcast to the shape of the broadcast
+    coordinates, so a scalar or one value per point, and finite; a non-finite
+    value raises naming its coordinates."""
+    shape = np.broadcast_shapes(*(w.shape for w in where))
     vals = np.asarray(f(*where))
-    if vals.shape not in ((), where[0].shape):
+    try:
+        full = np.broadcast_to(vals, shape)
+    except ValueError:
         raise ParameterError(
-            f"{what} returned shape {vals.shape} for {where[0].size} points"
-        )
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        idx = int(np.argmax(bad))
-        at = ", ".join(repr(float(w.flat[idx])) for w in where)
+            f"{what} returned shape {vals.shape} for points of shape {shape}"
+        ) from None
+    if not np.all(np.isfinite(vals)):
+        idx = np.unravel_index(int(np.argmax(~np.isfinite(full))), shape)
+        at = ", ".join(repr(float(np.broadcast_to(w, shape)[idx])) for w in where)
         raise SingularityError(f"{what} is non-finite at ({at})")
     return vals
 
@@ -245,12 +248,13 @@ def double_integrate(jm: JumpMeasure, f) -> complex:
     sum over location-ordered pairs u_k < s_i of f(s_i, u_k) * conj(v_k) * v_i.
 
     The pairs are walked in square tiles of _TILE atoms. A tile of rows I
-    and earlier columns K evaluates f once on the broadcast views
-    (s_I[:, None], s_K[None, :]) and adds z_I @ (vals @ conj(z_K)); a
-    diagonal tile evaluates f on its own pairs k < i, taken from one
-    np.tril_indices table per call. The kernel thus sees only pairs inside
-    the triangle, so integrands that are singular or undefined elsewhere
-    are safe. It must return one value per pair, or a scalar.
+    and earlier columns K evaluates f once on the views s_I[:, None] and
+    s_K[None, :] and adds z_I @ (vals @ conj(z_K)), or vals (sum z_I)(sum
+    conj z_K) for a scalar kernel; a diagonal tile evaluates f on its own
+    pairs k < i, taken from one np.tril_indices table per call. The kernel
+    thus sees only pairs inside the triangle, so integrands that are
+    singular or undefined elsewhere are safe. It must return values that
+    broadcast to its points' shape: one value per pair, or a scalar.
     """
     s = jm.locations
     z = jm.values
@@ -260,9 +264,12 @@ def double_integrate(jm: JumpMeasure, f) -> complex:
     for i0 in range(0, s.size, _TILE):
         s_i, z_i = s[i0 : i0 + _TILE], z[i0 : i0 + _TILE]
         for k0 in range(0, i0, _TILE):
-            where = np.broadcast_arrays(s_i[:, None], s[None, k0 : k0 + _TILE])
-            vals = _kernel_values(f, "arity-2 kernel", *where)
-            total += complex(z_i @ (np.broadcast_to(vals, where[0].shape) @ zc[k0 : k0 + _TILE]))
+            zc_k = zc[k0 : k0 + _TILE]
+            vals = _kernel_values(f, "arity-2 kernel", s_i[:, None], s[None, k0 : k0 + _TILE])
+            if vals.ndim == 0:
+                total += complex(vals * z_i.sum() * zc_k.sum())
+            else:
+                total += complex(z_i @ (np.broadcast_to(vals, (s_i.size, zc_k.size)) @ zc_k))
         pairs = s_i.size * (s_i.size - 1) // 2
         if pairs:
             i, k = tri_i[:pairs], tri_k[:pairs]
@@ -289,13 +296,16 @@ def condition_value(f, alpha: float, lam_list, quad: QuadratureSpec | None = Non
     lams = _check_windows(lam_list)
     base = quad if quad is not None else QuadratureSpec()
 
+    # an overflow or zero divide leaves a non-finite cell, which
+    # grid_integral_2d reports as the one signal, with no warning first
     def integrand(s, u):
-        fv = np.abs(np.asarray(f(s, u)))
-        env = psi(s, alpha) * psi(u, alpha)
-        out = np.zeros(np.broadcast(s, u).shape)
-        pos = fv > 0.0
-        ratio = np.divide(fv, env, out=np.ones_like(out), where=pos)
-        out[pos] = fv[pos] ** alpha * (1.0 + np.log(np.maximum(ratio[pos], 1.0)))
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            fv = np.abs(np.asarray(f(s, u)))
+            env = psi(s, alpha) * psi(u, alpha)
+            out = np.zeros(np.broadcast(s, u).shape)
+            pos = fv != 0.0  # so that a NaN value reaches the non-finite check
+            ratio = np.divide(fv, env, out=np.ones_like(out), where=pos)
+            out[pos] = fv[pos] ** alpha * (1.0 + np.log(np.maximum(ratio[pos], 1.0)))
         return out
 
     return grid_integral_2d(

@@ -334,9 +334,24 @@ class TestPairTableSums:
         assert np.max(np.abs(per_j - want)) <= 1e-13 * scale
         assert abs(per_j.sum() - want.sum()) <= 1e-13 * scale
 
-    # measured 0.06 and 0.18 MiB at both counts [1.8 MiB for a pair table
-    # walked in blocks; prefix sums over a whole n_increments x atoms table
-    # traced 3.1 and 8.9 MiB at n_increments 64]
+    # blocks of _PAIR_BLOCK // atoms rows j: at the package's budget 1,000
+    # atoms take 32 rows a call and 3,000 take 10, so n_increments 33 and 25
+    # end on a short block of 1 and 5 rows; a budget of one row of atoms, or
+    # of three, walks one row a call, or 3 + 3 + 2 rows
+    @pytest.mark.parametrize("budget,atoms,n_increments", [
+        (None, 1000, 33), (None, 3000, 25), (182, 182, 5), (3 * 181, 181, 8),
+    ])
+    def test_matches_whole_table_across_blocks(self, monkeypatch, budget, atoms, n_increments):
+        if budget is not None:
+            monkeypatch.setattr(analysis, "_PAIR_BLOCK", budget)
+        per_j, want, scale = _pair_sums_and_oracle(P.alpha, atoms, 5, n_increments)
+        assert np.max(np.abs(per_j - want)) <= 1e-13 * scale
+        assert abs(per_j.sum() - want.sum()) <= 1e-13 * scale
+
+    # measured 1.1 MiB at n_increments 64 at both counts, the two block
+    # buffers of _PAIR_BLOCK values [0.06 and 0.18 MiB one row j at a time;
+    # 1.8 MiB for a pair table walked in blocks; prefix sums over a whole
+    # n_increments x atoms table traced 3.1 and 8.9 MiB at n_increments 64]
     @pytest.mark.parametrize("atoms", [1000, 3000])
     def test_working_set(self, atoms):
         jm = build_jump_measure(P.alpha, 10.0, atoms, RngStream(5, atoms))
@@ -485,8 +500,11 @@ class TestThreadCountInvariance:
         np.testing.assert_array_equal(a, b)
 
     def test_identity_suite(self):
-        a = identity_suite(4, seed=23, n_terms=300, threads=1)
-        b = identity_suite(4, seed=23, n_terms=300, threads=2)
+        # 21 trials walk the kernel_gn pair sum at trials 0, 10 and 20, so
+        # both workers meet one; at 1,000 atoms the 64 prefix sums of a trial
+        # take two blocks of 32 rows
+        a = identity_suite(21, seed=23, n_terms=1000, threads=1)
+        b = identity_suite(21, seed=23, n_terms=1000, threads=2)
         assert a == b
 
     def test_increments_independent_of_blas_threads(self):

@@ -11,6 +11,7 @@ from harmstable import (
     JumpMeasure,
     ModelParams,
     ParameterError,
+    QuadratureError,
     QuadratureSpec,
     RngStream,
     SingularityError,
@@ -324,8 +325,47 @@ class TestPairBlocks:
         np.testing.assert_array_equal(np.sort(np.concatenate(seen or [[]])), want_i * n + want_k)
         assert got == n * (n - 1) // 2
 
-    # measured 1.7 MiB at both sizes [32.4 and 151.8 MiB with a dense
-    # rows x atoms grid per block of rows]
+    # 127 atoms fill one short diagonal tile and 128 one full tile; 129 and
+    # 257 end on a one-atom row tile; 1,000 atoms walk 28 rectangle tiles
+    @pytest.mark.parametrize("atoms", [127, 128, 129, 257, 1000])
+    def test_scalar_kernel_matches_array_kernel_and_triangle_sum(self, atoms):
+        # a scalar kernel adds each rectangle as vals (sum z_I)(sum conj z_K),
+        # an array kernel as z_I @ (vals @ conj z_K); the dense lower triangle
+        # adds the same pairs in neither order
+        jm = build_jump_measure(1.2, 10.0, atoms, RngStream(63, atoms))
+        z = jm.values
+        scalar = double_integrate(jm, lambda s, u: 1.0)
+        array = double_integrate(jm, lambda s, u: np.full(np.broadcast(s, u).shape, 1.0))
+        triangle = complex(z @ (np.tril(np.ones((atoms, atoms)), -1) @ np.conj(z)))
+        mag = np.abs(z)
+        scale = float(mag[1:] @ np.cumsum(mag[:-1]))
+        assert abs(scalar - array) <= 1e-13 * scale
+        assert abs(scalar - triangle) <= 1e-13 * scale
+
+    def test_nonfinite_scalar_kernel_names_a_pair(self):
+        jm = build_jump_measure(1.2, 5.0, 300, RngStream(12, 2))
+        s = jm.locations
+        # the first diagonal tile meets the pair (s_1, s_0) first
+        with pytest.raises(SingularityError) as err:
+            double_integrate(jm, lambda x, y: np.inf)
+        assert f"({float(s[1])!r}, {float(s[0])!r})" in str(err.value)
+        # a scalar for a rectangle tile (rows 128-255, columns 0-127) names
+        # the tile's first pair
+        with pytest.raises(SingularityError) as err:
+            double_integrate(jm, lambda x, y: np.nan if np.ndim(x) == 2 else 1.0)
+        assert f"({float(s[128])!r}, {float(s[0])!r})" in str(err.value)
+
+    def test_kernel_of_one_argument_broadcasts_over_a_tile(self):
+        # on a rectangle tile's views s_I[:, None] and s_K[None, :] a kernel of
+        # u alone returns one row, which stands for every row of the tile
+        jm = build_jump_measure(1.2, 5.0, 300, RngStream(12, 3))
+        got = double_integrate(jm, lambda s, u: np.cos(u))
+        want = double_integrate(jm, lambda s, u: np.cos(u) + 0.0 * s)
+        assert got == pytest.approx(want, rel=1e-14)
+
+    # measured 1.0 MiB at both sizes [1.3 MiB with the kernel evaluated on
+    # broadcast copies of the tile's coordinates; 32.4 and 151.8 MiB with a
+    # dense rows x atoms grid per block of rows]
     @pytest.mark.parametrize("atoms", [1000, 3000])
     def test_double_integrate_working_set(self, atoms):
         p = ModelParams(alpha=1.2, hurst=0.75)
@@ -344,6 +384,14 @@ class TestConditionValue:
         (got,) = condition_value(f, alpha, (200.0,), QuadratureSpec(cells_per_decade=16))
         assert got == pytest.approx(1.0, rel=2e-2)
         assert got < 1.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_nan_kernel_value_raises(self):
+        # a NaN |f| is neither zero nor positive; it reaches the grid's
+        # non-finite check rather than counting as a zero cell
+        f = lambda s, u: np.where(s > u, np.nan, 1.0)
+        with pytest.raises(QuadratureError, match="non-finite"):
+            condition_value(f, 1.2, (20.0,))
 
     def test_monotone_in_cutoff(self):
         alpha = 1.2
