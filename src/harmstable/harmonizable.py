@@ -20,7 +20,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import ParameterError, SingularityError
-from .kernels import ZERO_FLOOR, ModelParams, r_from_half_angle
+from .kernels import ZERO_FLOOR, ModelParams, half_angle_exp, r_from_half_angle
 from .levy_model import JumpMeasure
 
 __all__ = [
@@ -77,8 +77,7 @@ def simulate_increments(jm: JumpMeasure, n: int, p: ModelParams) -> tuple[np.nda
         for i0 in range(0, s.size, _ATOM_BLOCK):
             sb = s[i0 : i0 + _ATOM_BLOCK]
             m = sb.size
-            # h = exp(i s/2) as kernels.half_angle_exp forms it, in h_buf
-            h = np.exp(np.multiply(sb, 0.5j, out=h_buf[:m]), out=h_buf[:m])
+            h = half_angle_exp(sb, out=h_buf[:m])
             rot = np.multiply(h, h, out=rot_buf[:m])
             r = r_from_half_angle(sb, h, p.gamma)
             c = np.multiply(r, jm.values[i0 : i0 + m], out=c_buf[:m])

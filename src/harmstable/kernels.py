@@ -6,7 +6,7 @@ exponential ratios are evaluated through the half-angle rewrite
     (exp(ix) - 1) / (ix) = exp(ix/2) * sin(x/2) / (x/2)
 
 which is free of cancellation near x = 0 and carries its removable limit 1
-automatically, from one complex exponential h = exp(ix/2) per point.
+automatically, from one tangent-formed h = exp(ix/2) per point.
 All functions accept scalars or numpy arrays and broadcast; a scalar input
 gives a numpy scalar, through out[()] of the 0-d result.
 """
@@ -66,10 +66,12 @@ class ModelParams:
         return self.hurst > 0.5 and self.alpha * (1.0 - self.hurst) < 0.5
 
 
-def half_angle_exp(s: np.ndarray) -> np.ndarray:
-    """h = exp(i s/2) of a real array, evaluated in its own complex buffer."""
-    h = np.multiply(s, 0.5j, out=np.empty(np.shape(s), dtype=complex))
-    return np.exp(h, out=h)
+def half_angle_exp(s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """h = exp(i s/2) of a real array from one tangent (_sin_cos of s/4),
+    written into out (complex, of s's shape) or a new buffer."""
+    h = np.empty(np.shape(s), dtype=complex) if out is None else out
+    h.imag, h.real = _sin_cos(np.multiply(s, 0.25))
+    return h
 
 
 def r_from_half_angle(s: np.ndarray, h: np.ndarray, gamma: float) -> np.ndarray:
@@ -99,13 +101,14 @@ def kernel_r(s, p: ModelParams):
 
 def _sin_cos(half):
     """sin and cos of the angles 2 * half from one tangent t = tan(half), as
-    2t / (1 + t^2) and (1 - t^2) / (1 + t^2): numpy's tangent costs a
-    fraction of its sine and cosine (34 against 440 us per 16,384 values on
-    an AVX-512 host)."""
+    2t / (1 + t^2) and (1 - t^2) / (1 + t^2) = 2 / (1 + t^2) - 1: numpy's
+    tangent costs a fraction of its sine and cosine (34 against 440 us per
+    16,384 values on an AVX-512 host)."""
     t = np.tan(half)
-    t2 = t * t
-    inv = 1.0 / (1.0 + t2)
-    return 2.0 * t * inv, (1.0 - t2) * inv
+    w = 2.0 / (1.0 + t * t)
+    t *= w
+    w -= 1.0
+    return t, w
 
 
 def kernel_gn(x, n: int):

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ParameterError, SingularityError
 from .kernels import psi
 from .quadrature import QuadratureSpec, _check_windows, grid_integral_2d
-from .rng_stable import RngStream, poisson_arrivals
+from .rng_stable import RngStream
 
 __all__ = [
     "JumpMeasure",
@@ -173,44 +173,40 @@ def build_jump_measure(
 
     g = rng.generator
     locations = g.uniform(-half_width, half_width, n_terms)
-    weights = poisson_arrivals(n_terms, rng)
-    angles = g.uniform(0.0, 2.0 * np.pi, n_terms)
-    # calibration * Gamma_i^(-1/alpha), in the arrivals' buffer; the arrivals
-    # increase, so the first weight is the largest
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(calibration, np.power(weights, -1.0 / alpha, out=weights), out=weights)
-    if not math.isfinite(weights[0]):
-        raise SingularityError("atom value calibration * Gamma_1^(-1/alpha) overflows")
-
+    locations.sort()
     for _ in range(64):
-        # untied, any sort gives the stable order; ties redraw by stable order
-        order = np.argsort(locations)
-        ls = locations[order]
-        dup = np.flatnonzero(ls[1:] == ls[:-1])
-        if dup.size == 0:
+        tied = np.flatnonzero(locations[1:] == locations[:-1]) + 1
+        if tied.size == 0:
             break
-        order = np.argsort(locations, kind="stable")
-        offenders = order[dup + 1]
-        log.warning(
-            "resampling %d tied atom location(s) at %s",
-            offenders.size,
-            ls[dup][:4],
-        )
-        locations[offenders] = g.uniform(-half_width, half_width, offenders.size)
+        log.warning("resampling %d tied atom location(s) at %s", tied.size, locations[tied][:4])
+        locations[tied] = g.uniform(-half_width, half_width, tied.size)
+        locations.sort()
     else:
         raise RuntimeError("could not resolve tied atom locations")
 
-    # gather the real factors one at a time and drop each array once spent,
-    # so at most one per-atom temporary lives beside the atoms; then write
-    # weight * exp(i angle) as weight * (cos, sin) into one complex array
-    del locations
-    weights = weights[order]
-    angles = angles[order]
-    del order
+    # given Gamma_{N+1} = T, the first N arrivals are N iid uniforms on (0, T]
+    # (LePage, Woodroofe & Zinn 1981), assigned in location order; each is
+    # turned into calibration * Gamma_i^(-1/alpha) in its own buffer
+    weights = g.random(n_terms)
+    np.subtract(1.0, weights, out=weights)
+    weights *= g.standard_gamma(n_terms + 1)
+    with np.errstate(over="ignore"):
+        np.multiply(calibration, np.power(weights, -1.0 / alpha, out=weights), out=weights)
+    if not math.isfinite(weights.max()):
+        raise SingularityError("atom value calibration * Gamma^(-1/alpha) overflows")
+    # phases exp(i theta), theta uniform on [0, 2 pi), times the weights, in
+    # place from one tangent t = tan(theta/2): ((1 - t^2) + 2it) / (1 + t^2)
+    t = g.uniform(0.0, np.pi, n_terms)
+    np.tan(t, out=t)
     values = np.empty(n_terms, dtype=complex)
-    np.multiply(weights, np.cos(angles, out=values.real), out=values.real)
-    np.multiply(weights, np.sin(angles, out=values.imag), out=values.imag)
-    return JumpMeasure(ls, values, half_width, calibration)
+    re, im = values.real, values.imag
+    np.multiply(t, t, out=re)
+    weights /= np.add(re, 1.0, out=im)
+    np.subtract(1.0, re, out=re)
+    re *= weights
+    np.multiply(t, weights, out=im)
+    im *= 2.0
+    return JumpMeasure(locations, values, half_width, calibration)
 
 
 def _kernel_values(f, what: str, *where: np.ndarray) -> np.ndarray:

@@ -106,7 +106,8 @@ def sample_isotropic_stable(alpha: float, scale: float, rng: RngStream, size: in
 
 def poisson_arrivals(count: int, rng: RngStream) -> np.ndarray:
     """First `count` arrival times of a unit-rate Poisson process, strictly
-    increasing by construction."""
+    increasing by construction: the reference law of the arrivals that
+    levy_model.build_jump_measure draws as uniforms under one Gamma_{N+1}."""
     if count < 1:
         raise ParameterError(f"count must be a positive integer, got {count}")
     g = rng.generator

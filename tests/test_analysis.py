@@ -13,6 +13,7 @@ from scipy import stats
 from harmstable import analysis
 from harmstable import (
     ConfigError,
+    HarmstableError,
     ModelParams,
     ParameterError,
     QuadratureError,
@@ -20,9 +21,11 @@ from harmstable import (
     RngStream,
     SingularityError,
     build_jump_measure,
+    condition_value,
     envelope_quadrature,
     identity_suite,
     iid_stable_qv_experiment,
+    kernel_h,
     kernel_limit_check,
     kernel_r,
     ks_two_sample,
@@ -474,6 +477,35 @@ class TestEnvelopeQuadrature:
         # the far part holds one block of rows at a time, never every row
         peak = traced_peak_mib(lambda: envelope_quadrature(0.7, 1.2, (50.0, 100.0)))
         assert peak <= 4.0
+
+
+def finite_or_raises(f) -> None:
+    """f() returns only finite values or raises a HarmstableError."""
+    try:
+        values = f()
+    except HarmstableError:
+        return
+    assert np.all(np.isfinite(values)), values
+
+
+# check-condition's two functionals over their whole parameter boxes, at its
+# default windows: a value is finite or the call raises, with no warning first
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=40)
+@given(
+    alpha=st.floats(0.005, 2.0, exclude_max=True),
+    hurst=st.floats(0.01, 0.99),
+    r1=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    r2=st.floats(0.0, 3.0, exclude_min=True),
+)
+@example(alpha=0.005, hurst=0.01, r1=5e-324, r2=5e-324)
+@example(alpha=float(np.nextafter(2.0, 0.0)), hurst=0.99, r1=float(np.nextafter(1.0, 0.0)), r2=3.0)
+@example(alpha=0.01, hurst=0.5, r1=0.7, r2=1.2)
+def test_condition_functionals_are_finite_or_raise(alpha, hurst, r1, r2):
+    p = ModelParams(alpha, hurst)
+    lams = (50.0, 100.0)
+    finite_or_raises(lambda: condition_value(lambda s, u: kernel_h(s, u, p), alpha, lams))
+    finite_or_raises(lambda: envelope_quadrature(r1, r2, lams))
 
 
 def blas_threads():

@@ -448,9 +448,10 @@ class TestSimulateCommand:
         assert err.startswith("error:") and "limit draw is non-finite" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
-    # 40^(1/0.005) overflows; at alpha 0.01 the calibration is finite but
-    # seed 19's first atom value overflows
-    @pytest.mark.parametrize("extra", [["--alpha", "0.005"], ["--alpha", "0.01", "--seed", "19"]])
+    # 40^(1/0.005) overflows; at alpha 0.01 the calibration 1.8e160 is finite
+    # but seed 4's smallest arrival is 0.00606, and 0.00606^(-100) = 5.3e221
+    # takes its atom value past 1.8e308
+    @pytest.mark.parametrize("extra", [["--alpha", "0.005"], ["--alpha", "0.01", "--seed", "4"]])
     def test_overflowing_measure_returns_2(self, capsys, extra):
         rc, out, err = run_main(
             capsys, ["simulate", "--hurst", "0.5", "--half-width", "20", "--n-terms", "100",

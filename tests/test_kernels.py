@@ -67,6 +67,13 @@ MAGNITUDES = st.one_of(
 )
 
 
+ODD_PI_POINTS = [
+    _ulps_from(math.pi * (2 * k + 1), d)
+    for k in (0, 1, 5, 1_000, 159_154)
+    for d in (-4, -1, 0, 1, 4)
+] + [_ulps_from(1e6, d) for d in (-1, 0, 1)]
+
+
 # every kernel of the module, and the phi_qv oracle, at one scalar point,
 # below the diagonal for the pair kernels
 SCALAR_CALLS = {
@@ -122,6 +129,10 @@ class TestKernelR:
     )
     @example(mags=[1e-300, 1.0, 2.0 * math.pi, 1e6], signs=[True] * 60, alpha=1.99, hurst=0.02)
     @example(mags=[1e-300, 1.0, 2.0 * math.pi, 1e6], signs=[False] * 60, alpha=0.1, hurst=0.98)
+    # next to s = (2k + 1) pi, where cos(s/2) = 0 and the tangent of s/4 is
+    # +-1, so 1 - t^2 cancels, up to |s| = 1e6 (k = 159,154)
+    @example(mags=ODD_PI_POINTS, signs=[True] * 60, alpha=1.2, hurst=0.75)
+    @example(mags=ODD_PI_POINTS, signs=[False] * 60, alpha=0.1, hurst=0.98)
     def test_matches_extended_precision(self, mags, signs, alpha, hurst):
         p = ModelParams(alpha, hurst)
         s = np.array(mags) * np.where(signs[: len(mags)], 1.0, -1.0)
@@ -212,7 +223,7 @@ class TestKernelGn:
         # one ulp above each zero in [-pi, 4 pi) and uniform x in (-4 pi, 4 pi):
         # the phase takes the first-order correction of the reduction too, so
         # the value keeps the ratio's accuracy past pi; measured at most
-        # 9.1e-16 at both n over seeds 1-7 [2.5e-13 at n = 1024 with the
+        # 9.3e-16 at both n over seeds 1-7 [2.5e-13 at n = 1024 with the
         # phase from the uncorrected y, 3.6e-13 from exp(i(n-1)y/2)]
         k = np.arange(1 - n // 2, 2 * n)
         x = np.concatenate([

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
+from scipy.stats import ks_2samp, kstest
 
 from harmstable import (
     JumpMeasure,
@@ -67,22 +68,29 @@ def tied_stream(master_seed: int) -> SimpleNamespace:
 
 def stable_sort_reference(alpha, half_width, n_terms, rng, calibration):
     """The draws of build_jump_measure, sorted with kind="stable" on every
-    pass: (locations, values, resampling warnings)."""
+    pass: (locations, values, resampling warnings). The locations are the
+    sorted first uniform draw, each tie redrawn at its later copy; given
+    T = Gamma_{N+1}, drawn after the U_i, the arrivals are T (1 - U_i) in
+    location order; the phase of angle theta is ((1 - t^2) + 2it) / (1 + t^2)
+    with t = tan(theta/2)."""
     g = rng.generator
-    locations = g.uniform(-half_width, half_width, n_terms)
-    arrivals = poisson_arrivals(n_terms, rng)
-    angles = g.uniform(0.0, 2.0 * np.pi, n_terms)
-    values = calibration * arrivals ** (-1.0 / alpha) * np.exp(1j * angles)
+    locations = np.sort(g.uniform(-half_width, half_width, n_terms), kind="stable")
     messages = []
     while True:
-        order = np.argsort(locations, kind="stable")
-        ls = locations[order]
-        dup = np.flatnonzero(np.diff(ls) == 0.0)
-        if dup.size == 0:
-            return ls, values[order], messages
-        offenders = order[dup + 1]
-        messages.append(f"resampling {offenders.size} tied atom location(s) at {ls[dup][:4]}")
-        locations[offenders] = g.uniform(-half_width, half_width, offenders.size)
+        tied = np.flatnonzero(np.diff(locations) == 0.0) + 1
+        if tied.size == 0:
+            break
+        messages.append(f"resampling {tied.size} tied atom location(s) at {locations[tied][:4]}")
+        locations[tied] = g.uniform(-half_width, half_width, tied.size)
+        locations = np.sort(locations, kind="stable")
+    arrivals = (1.0 - g.random(n_terms)) * g.standard_gamma(n_terms + 1)
+    scale = calibration * arrivals ** (-1.0 / alpha)
+    t = np.tan(0.5 * g.uniform(0.0, 2.0 * np.pi, n_terms))
+    scale /= 1.0 + t * t
+    values = np.empty(n_terms, dtype=complex)
+    values.real = (1.0 - t * t) * scale
+    values.imag = 2.0 * t * scale
+    return locations, values, messages
 
 
 class TestJumpMeasureValidation:
@@ -135,6 +143,11 @@ class TestBuildJumpMeasure:
             jm.calibration * arrivals.min() ** (-1.0 / 1.2)
         )
 
+    def test_locations_are_the_sorted_first_draw(self):
+        jm = build_jump_measure(1.2, 50.0, 100_000, RngStream(19, 2))
+        first = RngStream(19, 2).generator.uniform(-50.0, 50.0, 100_000)
+        np.testing.assert_array_equal(bits(jm.locations), bits(np.sort(first)))
+
     def test_tied_locations_match_stable_sort(self, caplog):
         with caplog.at_level(logging.WARNING, logger="harmstable.levy_model"):
             jm = build_jump_measure(1.2, 5.0, 400, tied_stream(19))
@@ -175,10 +188,65 @@ class TestBuildJumpMeasure:
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_atom_value_raises(self):
-        # the calibration 1.8e160 is finite, but this stream's first arrival
-        # is 0.0295, and 0.0295^(-100) = 9.9e152 takes the product past 1.8e308
+        # the calibration 1.8e160 is finite, but this stream's smallest
+        # arrival is 0.00606, and 0.00606^(-100) = 5.3e221 takes the product
+        # past 1.8e308
         with pytest.raises(SingularityError, match="atom value"):
-            build_jump_measure(0.01, 20.0, 100, RngStream(19, 0))
+            build_jump_measure(0.01, 20.0, 100, RngStream(4, 0))
+
+
+class TestDrawLaw:
+    """The arrivals and phases of 2,000 fifty-atom streams against the law of
+    the series: sorted Poisson arrivals, each paired with a uniform location
+    and a uniform angle. Every band is the largest reading over master seeds
+    0-19 (each against the reference streams at the seed plus 1,000), rounded
+    up; seed 0 is the one tested."""
+
+    alpha, n_terms, streams = 1.2, 50, 2000
+
+    @pytest.fixture(scope="class")
+    def draws(self):
+        measures = [
+            build_jump_measure(self.alpha, 10.0, self.n_terms, RngStream(0, i))
+            for i in range(self.streams)
+        ]
+        return measures[0].calibration, np.array([jm.values for jm in measures])
+
+    @pytest.mark.parametrize("k, band", [(1, 0.04), (5, 0.045), (50, 0.05)])
+    def test_arrivals_follow_poisson_arrivals(self, draws, k, band):
+        # KS distance of Gamma_k over the 20 seeds: 0.018-0.040 (k = 1),
+        # 0.012-0.044 (k = 5), 0.010-0.048 (k = 50)
+        calibration, values = draws
+        arrivals = np.sort((calibration / np.abs(values)) ** self.alpha, axis=1)
+        reference = np.array(
+            [poisson_arrivals(self.n_terms, RngStream(1000, i)) for i in range(self.streams)]
+        )
+        ks = ks_2samp(arrivals[:, k - 1], reference[:, k - 1]).statistic
+        assert ks <= band
+
+    def test_largest_atom_sits_anywhere(self, draws):
+        # chi-square of its position over the 50 sorted locations, 49 degrees
+        # of freedom: 29.7-63.6 over the 20 seeds
+        counts = np.bincount(np.argmax(np.abs(draws[1]), axis=1), minlength=self.n_terms)
+        expected = self.streams / self.n_terms
+        assert np.sum((counts - expected) ** 2 / expected) <= 65.0
+
+    def test_moduli_are_the_weights(self, draws):
+        # the weights calibration * (T (1 - U_i))^(-1/alpha) from each
+        # stream's own draws; the phase moved the modulus by at most 3 ulp
+        # over the 20 seeds
+        calibration, values = draws
+        for i in range(self.streams):
+            g = RngStream(0, i).generator
+            g.uniform(-10.0, 10.0, self.n_terms)
+            arrivals = (1.0 - g.random(self.n_terms)) * g.standard_gamma(self.n_terms + 1)
+            weights = calibration * arrivals ** (-1.0 / self.alpha)
+            assert np.all(np.abs(np.abs(values[i]) - weights) <= 4.0 * np.spacing(weights))
+
+    def test_angles_are_uniform(self, draws):
+        # KS distance of the 100,000 angles: 0.0016-0.0047 over the 20 seeds
+        turns = np.angle(draws[1]).ravel() / (2.0 * np.pi) % 1.0
+        assert kstest(turns, "uniform").statistic <= 0.005
 
 
 def textbook_scale(alpha: float) -> float:
