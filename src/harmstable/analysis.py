@@ -30,7 +30,7 @@ from .harmonizable import (
 from .kernels import ModelParams, kernel_gn, kernel_h, kernel_hn, kernel_r, nearest_2pi
 from .levy_model import build_jump_measure, double_integrate, integrate_qv
 from .quadrature import QuadratureSpec, _check_windows, _window_runs, axis_cells
-from .rng_stable import RngStream, sample_isotropic_stable
+from .rng_stable import RngStream, _check_stable_args, sample_isotropic_stable
 
 __all__ = [
     "run_lln_experiment",
@@ -248,8 +248,8 @@ def run_clt_experiment(
     Gauss-Legendre nodes."""
     if not p.clt_regime:
         raise ConfigError(
-            "normalized-error limit requires hurst > 1/2 and "
-            f"alpha*(1-hurst) < 1/2; got alpha={p.alpha}, hurst={p.hurst}"
+            "normalized-error limit requires hurst > 1/2 and alpha*(1-hurst) < 1/2; got "
+            f"alpha={p.alpha}, hurst={p.hurst} (alpha*(1-hurst)={p.alpha * (1.0 - p.hurst):g})"
         )
     if n < 1:
         raise ParameterError(f"n must be a positive integer, got {n}")
@@ -285,6 +285,7 @@ def iid_stable_qv_experiment(
     like n^(2/alpha), unlike the order-n growth of the coupled model.
     Returns Q_n per replication and n, and results: its quartiles per n and
     the log-log slope of the medians."""
+    _check_stable_args(alpha, 1.0)
     ns = _check_n_list(n_list)
     if replications < 100:
         raise ParameterError(f"replications must be >= 100, got {replications}")

@@ -202,10 +202,7 @@ def _cell_moments(s: np.ndarray, v: np.ndarray, gamma: float):
         diag += float(np.sum(a.real**2 + a.imag**2))
         g = np.rint(sb / _CELL)
         f = sb - g * _CELL
-        table = table_buf[: 2 * _ORDERS * m].reshape(_ORDERS, 2, m)
-        table[0] = a.real, a.imag
-        for k in range(1, _ORDERS):
-            np.multiply(table[k - 1], f, out=table[k])
+        table = _powers(table_buf[: 2 * _ORDERS * m].reshape(_ORDERS, 2, m), f, (a.real, a.imag))
         # run starts: atom 0 and each atom whose cell differs from the last
         runs = np.flatnonzero(np.diff(g, prepend=np.nan))
         ids.append(g[runs])

@@ -151,7 +151,7 @@ class TestRunCltExperiment:
 
     @pytest.mark.parametrize("alpha,hurst", [(1.8, 0.55), (1.2, 0.4)])
     def test_rejects_parameters_outside_limit_regime(self, alpha, hurst):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=rf"alpha\*\(1-hurst\)={alpha * (1 - hurst):g}\)"):
             run_clt_experiment(
                 ModelParams(alpha, hurst), 5.0, 400, 16, 8, seed=10
             )
@@ -174,6 +174,15 @@ class TestIidStableQvExperiment:
     def test_rejects_small_replication_count(self):
         with pytest.raises(ParameterError):
             iid_stable_qv_experiment(1.5, (64, 256, 1024), 99, seed=7)
+
+    @pytest.mark.parametrize("alpha", [2.5, 0.0])
+    def test_rejects_alpha_before_any_draw(self, monkeypatch, alpha):
+        calls = []
+        monkeypatch.setattr(analysis, "sample_isotropic_stable",
+                            lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ParameterError, match="alpha must be in"):
+            iid_stable_qv_experiment(alpha, (64, 256), 100, seed=7)
+        assert calls == []
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_qv_raises(self):

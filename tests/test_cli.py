@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import contextlib
 import csv
 import dataclasses
@@ -42,6 +43,7 @@ from harmstable.cli import _COMMANDS, main, parse_config
 from harmstable.errors import ConfigError
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+README = Path(__file__).resolve().parents[1] / "README.md"
 PACKAGE_ROOT = Path(harmstable.__file__).resolve().parents[1]
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -94,7 +96,8 @@ class TestParseConfig:
         assert cfg["alpha"] == 1.2 and cfg["hurst"] == 0.75
         assert cfg["half_width"] == 50.0 and cfg["n_terms"] == 100000
         assert cfg["n"] == 256 and cfg["format"] == "csv"
-        assert cfg["threads"] == 0 and cfg["out"] is None
+        assert cfg["out"] is None and "threads" not in cfg
+        assert parse_config(["lln"])["threads"] == 0
 
     def test_config_file_overrides_defaults_and_flags_win(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -118,6 +121,9 @@ class TestParseConfig:
         cfg = parse_config(["kernel-limit", "--pairs", "1,-0.5;3,1"])
         assert cfg["pairs"] == ((1.0, -0.5), (3.0, 1.0))
 
+    # the CLI checks its own fields; alpha, hurst and the clt regime are
+    # checked by the library calls the handlers make, before any draw. The
+    # one error line names the last flag given.
     @pytest.mark.parametrize(
         "argv",
         [
@@ -128,11 +134,16 @@ class TestParseConfig:
             ["clt", "--alpha", "1.8", "--hurst", "0.55"],
             ["lln", "--seed", "-1"],
             ["kernel-limit", "--pairs", "1,a"],
+            ["iid", "--alpha", "0"],
+            ["kernel-limit", "--hurst", "1"],
+            ["check-condition", "--alpha", "2"],
         ],
     )
-    def test_validation_failures(self, argv):
-        with pytest.raises(ConfigError):
-            parse_config(argv)
+    def test_validation_failures(self, capsys, argv):
+        rc, out, err = run_main(capsys, argv)
+        assert rc == 2 and out == ""
+        assert err.splitlines() == [err.rstrip("\n")]
+        assert err.startswith("error:") and argv[-2].lstrip("-").replace("-", "_") in err
 
     def test_missing_command_is_a_usage_error(self):
         with pytest.raises(SystemExit):
@@ -140,8 +151,9 @@ class TestParseConfig:
 
 
 # one or two flags per command that the command does not read; --n is a
-# prefix of --n-list and --n-terms, so it must not pass as either, and the
-# commands that write only JSON take no --format
+# prefix of --n-list and --n-terms, so it must not pass as either, the
+# commands that write only JSON take no --format, and those that run no
+# worker pool take no --threads
 UNREAD_FLAGS = [
     ("simulate", "--reps", "replications", "5"),
     ("lln", "--n", "n", "8"),
@@ -156,6 +168,9 @@ UNREAD_FLAGS = [
     ("check-condition", "--format", "format", "json"),
     ("check-identities", "--format", "format", "json"),
     ("kernel-limit", "--format", "format", "json"),
+    ("simulate", "--threads", "threads", "2"),
+    ("check-condition", "--threads", "threads", "2"),
+    ("kernel-limit", "--threads", "threads", "2"),
 ]
 
 # small runs of every command with a JSON report
@@ -172,8 +187,9 @@ SMALL_RUNS = {
 
 
 class TestPerCommandFlags:
-    """Each command takes the flags of the fields it reads, plus --threads,
-    --out and --config; its report's config holds exactly those fields."""
+    """Each command takes the flags of the fields it reads, plus --out and
+    --config; its report's config holds exactly those fields but --threads
+    and --format."""
 
     @pytest.mark.parametrize("command, flag, key, value", UNREAD_FLAGS)
     def test_unread_flag_is_a_usage_error(self, capsys, command, flag, key, value):
@@ -194,7 +210,9 @@ class TestPerCommandFlags:
         rc, out, _ = run_main(capsys, [command, *SMALL_RUNS[command]])
         assert rc == 0
         defaults = _COMMANDS[command][1]
-        assert list(json.loads(out)["config"]) == [k for k in defaults if k != "format"]
+        assert list(json.loads(out)["config"]) == [
+            k for k in defaults if k not in ("threads", "format")
+        ]
 
     @pytest.mark.parametrize(
         "command, fields",
@@ -229,6 +247,25 @@ class TestPerCommandFlags:
         cfg = parse_config(["lln", "--config", str(path)])
         assert cfg["half_width"] == 5.0 and type(cfg["half_width"]) is float
         assert cfg["n_list"] == (8, 16) and cfg["seed"] == 3
+
+
+def test_readme_flag_table_matches_the_parser():
+    # each row of README's flag table, "| `command` | `--flag ...` |", lists
+    # exactly the flags its subparser declares but the shared --out and
+    # --config
+    rows = {}
+    for line in README.read_text().splitlines():
+        cells = [cell.strip().strip("`") for cell in line.strip("|").split("|")]
+        if len(cells) == 2 and cells[0] in _COMMANDS:
+            rows[cells[0]] = cells[1].split()
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    declared = {
+        name: [flag for action in sp._actions for flag in action.option_strings
+               if flag not in ("-h", "--help", "--out", "--config")]
+        for name, sp in subparsers.choices.items()
+    }
+    assert rows == declared
 
 
 class TestBenchmarkTracer:

@@ -2,6 +2,7 @@
 
 import contextlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -429,6 +430,73 @@ class TestCellMoments:
         fast = rosenblatt_fast(jm, P, t_nodes=t_nodes)
         assert abs(fast - dense_limit(jm, P, t_nodes)) <= 1e-15 * diagonal_scale(jm, P)
         assert fast == pytest.approx(pair_sum_oracle(jm, P), rel=1e-11)
+
+
+def symmetry_base(alpha, hurst, half_width, n_terms, n, k, stream):
+    """A measure with Y_j for j < n + k, U, R and their scales sqrt(N U)
+    and sum_i |a_i|^2."""
+    p = ModelParams(alpha, hurst)
+    jm = build_jump_measure(alpha, half_width, n_terms, RngStream(83, stream))
+    y, u = simulate_increments(jm, n + k, p)
+    return jm, p, y, u, rosenblatt_fast(jm, p), math.sqrt(jm.n_terms * u), diagonal_scale(jm, p)
+
+
+# (alpha, hurst, half_width, n_terms, n, k, stream): 10^5 atoms at n = 512 on
+# the lln window and on the wide M = 500 of the limit draw, then the corners
+# of the parameter box, where gamma takes both signs, at windows from 1 to 80
+# and down to two atoms, and one interior point
+SYMMETRY_CASES = [
+    (1.2, 0.75, 50.0, 100_000, 512, 37, 0),
+    (1.2, 0.75, 500.0, 100_000, 512, 23, 1),
+    (0.3, 0.05, 1.0, 2_000, 300, 50, 2),
+    (0.3, 0.95, 80.0, 20_000, 300, 1, 3),
+    (1.95, 0.05, 80.0, 20_000, 257, 50, 4),
+    (1.95, 0.95, 1.0, 2, 1, 1, 5),
+    (0.8, 0.6, 7.3, 5_000, 64, 9, 6),
+]
+
+
+@pytest.mark.filterwarnings("error")
+class TestSymmetries:
+    """Exact relations of the model on any atomic measure, which the fast
+    routes must keep at production size with no oracle. They catch index
+    and phase errors in the increments (a wrong giant step, a conjugated
+    value), not errors inside the limit draw's cell expansion, which the
+    dense oracles above check. Bounds are 1e-13 of sqrt(N U) for Y and of
+    sum_i |a_i|^2 for R, and 1e-13 relative for U; measured at most 1.2e-15,
+    1.9e-15 and 3.5e-16."""
+
+    @pytest.fixture(scope="class", params=SYMMETRY_CASES,
+                    ids=lambda c: f"alpha{c[0]}-hurst{c[1]}-M{c[2]:g}-atoms{c[3]}")
+    def base(self, request):
+        return request.param, symmetry_base(*request.param)
+
+    def test_rotation(self, base):
+        # v -> e^(i phi) v gives Y -> e^(i phi) Y and leaves U and R
+        (*_, n, k, _), (jm, p, y, u, r, y_scale, r_scale) = base
+        turn = np.exp(2.0j)
+        y2, u2 = simulate_increments(replace(jm, values=turn * jm.values), n + k, p)
+        assert np.max(np.abs(y2 - turn * y)) <= 1e-13 * y_scale
+        assert abs(u2 - u) <= 1e-13 * u
+        r2 = rosenblatt_fast(replace(jm, values=turn * jm.values), p)
+        assert abs(r2 - r) <= 1e-13 * r_scale
+
+    def test_frequency_shift(self, base):
+        # v -> v e^(i k s) gives Y_j -> Y_(j+k), for every j < n
+        (*_, n, k, _), (jm, p, y, _, _, y_scale, _) = base
+        shifted = replace(jm, values=jm.values * np.exp(1j * k * jm.locations))
+        y2, _ = simulate_increments(shifted, n, p)
+        assert np.max(np.abs(y2 - y[k:])) <= 1e-13 * y_scale
+
+    def test_reflection(self, base):
+        # atoms at -s in reversed order with values conj(v) give Y -> conj(Y)
+        # and leave U and R, since r(-s) = conj(r(s))
+        (*_, n, k, _), (jm, p, y, u, r, y_scale, r_scale) = base
+        mirror = replace(jm, locations=-jm.locations[::-1], values=np.conj(jm.values[::-1]))
+        y2, u2 = simulate_increments(mirror, n + k, p)
+        assert np.max(np.abs(y2 - np.conj(y))) <= 1e-13 * y_scale
+        assert abs(u2 - u) <= 1e-13 * u
+        assert abs(rosenblatt_fast(mirror, p) - r) <= 1e-13 * r_scale
 
 
 class TestWorkingSet:
